@@ -30,11 +30,12 @@ ctest --preset default -j"$(nproc)"
 
 # Concurrency-suite filter, shared by the lockdep re-run below and the
 # TSan pass: every suite that exercises locks or worker threads —
-# FlexMalloc heap/matcher stress, parallel replay, parallel aggregation,
-# salvage-mode parallel reads, online migration, the worker pool, and
-# the lockdep validator's own tests. New concurrent suites must match
-# this regex (name them *Concurrency* or extend the list).
-concurrency_suites='Concurrency|ParallelReplay|ParallelAggregation|Salvage|OnlineEngine|Lockdep'
+# FlexMalloc heap/matcher stress, parallel aggregation, salvage-mode
+# parallel reads, online migration through FlexMalloc's ranked locks,
+# the worker pool, and the lockdep validator's own tests. New
+# concurrent suites must match this regex (name them *Concurrency* or
+# extend the list).
+concurrency_suites='Concurrency|ParallelAggregation|Salvage|OnlineEngine|Lockdep'
 
 # Runtime lock-order validation (docs/threading.md): re-run the
 # concurrency suites with the lockdep validator armed. Any rank/leaf
@@ -143,18 +144,23 @@ build/tools/ecohmem-lint \
   --report /tmp/ecohmem_ci_report.txt \
   --config configs/advisor_dram_pmem.ini
 
+# The default trace format (v3) must advise byte-identically to the
+# legacy --compact (v2) trace above.
+build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci2_v3.trc
+build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci2_v3.trc --out /tmp/ecohmem_ci_report_v3.txt \
+  --config configs/advisor_dram_pmem.ini \
+  --bandwidth-aware --dump-sites --csv /tmp/ecohmem_ci_sites_v3.csv
+cmp /tmp/ecohmem_ci_report_v3.txt /tmp/ecohmem_ci_report.txt
+cmp /tmp/ecohmem_ci_sites_v3.csv /tmp/ecohmem_ci_sites.csv
+
 build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt
-# Parallel replay must accept a thread count and reject a bad one.
-build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4
+# --threads is an accepted no-op, but still range-checked.
 if build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 0; then
   echo "ecohmem-run accepted --threads 0" >&2; exit 1
 fi
 
 # Online placement smoke: the shipped policy config must lint clean and
-# must actually migrate on the phase-shifting workload. Parallel replay
-# composes with --online (the sharded sampler keeps it deterministic,
-# docs/threading.md): the serial and --threads 4 runs must be
-# bit-identical, down to the migration log.
+# must actually migrate on the phase-shifting workload.
 build/tools/ecohmem-lint --online-policy configs/online_policy.ini
 build/tools/ecohmem-profile --app phase-shift --out /tmp/ecohmem_ci3.trc --compact
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci3.trc --out /tmp/ecohmem_ci_report3.txt
@@ -167,21 +173,15 @@ fi
 if ! echo "$online_out" | grep -E '\([1-9][0-9]* partial' >/dev/null; then
   echo "online run performed no partial (page-granular) moves on phase-shift" >&2; exit 1
 fi
-online_par=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
-  --online configs/online_policy.ini --threads 4 --migration-log /tmp/ecohmem_ci_mig4.csv)
-# The replay line reports host wall-clock (not simulated time) and only
-# appears for N > 1; everything else must match byte-for-byte.
-if [ "$(echo "$online_out" | grep -v 'replay')" != "$(echo "$online_par" | grep -v 'replay')" ]; then
-  echo "--online --threads 4 output differs from the serial run" >&2; exit 1
-fi
-cmp /tmp/ecohmem_ci_mig1.csv /tmp/ecohmem_ci_mig4.csv
 # The migration log must satisfy the conservation identities against the
 # policy it was produced under.
 build/tools/ecohmem-lint --migration-log /tmp/ecohmem_ci_mig1.csv \
   --online-policy configs/online_policy.ini
 
 # Guidance seeding: --from-report warm-starts the policy from the advisor
-# report; two seeded invocations must agree byte-for-byte.
+# report; two seeded invocations must agree byte-for-byte. The replay
+# line reports host wall-clock time (not simulated time), so it is the
+# one line excluded from the comparison.
 seeded_a=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
   --online configs/online_policy.ini --from-report /tmp/ecohmem_ci_report3.txt)
 seeded_b=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
@@ -206,7 +206,7 @@ set -e
 # The online bench (run in the bench loop above) must have recorded its
 # acceptance verdict; the binary itself exits nonzero on a violated bound.
 for key in '"bench": "online_placement"' '"hysteresis"' '"all_pass": true' \
-           '"parallel_identical": true' '"static_s"' '"online_s"' '"seeded_s"' \
+           '"static_s"' '"online_s"' '"seeded_s"' \
            '"kernel_tiering_s"' '"migrations"' '"migrations_partial"'; do
   if ! grep -F "$key" BENCH_online_placement.json >/dev/null; then
     echo "BENCH_online_placement.json missing $key" >&2; exit 1
@@ -241,7 +241,7 @@ build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3c.trc \
   --out /tmp/ecohmem_ci_v3c.csv --bin-ms 50
 cmp /tmp/ecohmem_ci_v3c.csv /tmp/ecohmem_ci_v3.csv
 # --compress without the v3 index must exit 2 (cli_common usage error).
-for bad_compress in "--compress" "--format v2 --compress" "--compact --compress"; do
+for bad_compress in "--format v1 --compress" "--format v2 --compress" "--compact --compress"; do
   set +e
   build/tools/ecohmem-profile --app lulesh --iterations 2 \
     --out /tmp/ecohmem_ci_bad.trc $bad_compress >/dev/null 2>&1

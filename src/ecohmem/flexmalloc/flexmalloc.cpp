@@ -271,24 +271,6 @@ Expected<MigrationOutcome> FlexMalloc::migrate(std::uint64_t address, std::size_
   return out;
 }
 
-bool FlexMalloc::can_absorb(Bytes total_requested, std::uint64_t allocations) const {
-  for (const auto& heap : heaps_) {
-    const Bytes capacity = heap->capacity();
-    const Bytes used = heap->used();
-    if (used > capacity) return false;
-    const Bytes headroom = capacity - used;
-    // Padding bound: round_up(size, a) <= size + a, and zero-byte
-    // requests consume exactly `a`, so `allocations` blocks totalling
-    // `total_requested` bytes occupy at most total + allocations * a
-    // (overflow-safe: division instead of multiplication, two-step
-    // comparison instead of summing).
-    const Bytes alignment = heap->alignment();
-    if (total_requested > headroom) return false;
-    if (allocations > (headroom - total_requested) / alignment) return false;
-  }
-  return true;
-}
-
 std::vector<TierStats> FlexMalloc::stats() const {
   std::vector<TierStats> out;
   out.reserve(tier_stats_.size());

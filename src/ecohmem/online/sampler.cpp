@@ -4,6 +4,13 @@
 
 namespace ecohmem::online {
 
+std::uint64_t sample_stream_seed(std::uint64_t seed, std::size_t stream) {
+  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(stream) + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 std::uint64_t AccessSampler::sample_count(double events) {
   const double expected = std::max(0.0, events) * rate_;
   const double whole = std::floor(expected);

@@ -10,14 +10,29 @@
 /// (common/rng.hpp). The draw order is the engine's kernel-replay order,
 /// which is what makes the whole online subsystem bit-reproducible:
 /// same seed + same workload + same policy => same samples => same
-/// migration sequence (asserted in tests/online/).
+/// migration sequence (asserted in tests/online/ and pinned by
+/// tests/runtime/test_replay_golden.cpp).
+///
+/// The engine keeps `kSampleStreams` samplers and samples object `o`
+/// with stream `o % kSampleStreams`, so each object's draws depend only
+/// on the kernels that touch objects of its stream. The stream count and
+/// seeds are part of the output contract: changing either changes every
+/// migration sequence.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ecohmem/common/rng.hpp"
 #include "ecohmem/common/units.hpp"
 
 namespace ecohmem::online {
+
+/// Number of independent sample streams (see the file comment).
+inline constexpr std::size_t kSampleStreams = 8;
+
+/// Seed of sample stream `stream`: a splitmix64 mix of the policy seed
+/// with the stream index.
+[[nodiscard]] std::uint64_t sample_stream_seed(std::uint64_t seed, std::size_t stream);
 
 /// Per-object miss counts of one kernel, as fed by the replay engine.
 struct ObjectAccess {

@@ -17,31 +17,10 @@
 /// weight — small for DRAM, but significant when PMem write bandwidth
 /// saturates (§V's motivation for store-aware heuristics).
 ///
-/// Parallel replay (docs/threading.md): with `replay_threads > 1` the
-/// engine partitions the allocation-event stream across a worker pool —
-/// worker `object % threads` replays every op of that object, so the
-/// per-object alloc/free order is preserved while distinct objects
-/// proceed concurrently through the shared thread-safe mode/FlexMalloc.
-/// Kernel steps are barriers and run serially on the engine thread, so
-/// placement decisions and per-tier byte totals are bit-identical at any
-/// thread count; kernel bandwidth binning fans out into per-worker
-/// BandwidthMeter shards merged in worker order at the end. Before
-/// fanning a batch out, the engine asks the mode's
-/// `batch_placement_order_free` capacity guard whether any tier could
-/// fill up mid-batch (which would make OOM redirection — a placement
-/// decision — interleaving-dependent); pressured batches are replayed in
-/// program order on the engine thread instead, so determinism holds even
-/// at capacity.
-///
-/// Online placement composes with parallel replay: the sampler/hotness
-/// state is sharded on `object % kOnlineShards` (online/sharded.hpp), a
-/// kernel's feedback is processed per shard in stream order whichever
-/// worker runs the shard, and every placement decision — policy
-/// evaluation, guidance seeding, tracker forgets, migration application —
-/// runs on the engine thread at batch or kernel boundaries in program
-/// order. Migration sequences are therefore bit-identical at any thread
-/// count (docs/threading.md has the full argument; tests/online/ asserts
-/// it for `--threads {1,2,4,8}`).
+/// Replay is serial: one thread walks the steps in program order. With
+/// an online policy attached, the engine samples each kernel's misses,
+/// plans migrations at kernel boundaries and applies them at the next
+/// one (docs/online.md).
 
 #include "ecohmem/common/expected.hpp"
 #include "ecohmem/memsim/analytic_cache.hpp"
@@ -76,13 +55,7 @@ struct EngineOptions {
   int max_fixed_point_iters = 100;
   double convergence = 1e-7;
 
-  /// Replay worker threads. 1 = the classic serial replay; N > 1 shards
-  /// the allocation stream by object id across N workers (see the file
-  /// comment). Requires a mode with `concurrent_alloc_safe()` and no
-  /// observer; `run` fails with a clear error otherwise.
-  int replay_threads = 1;
-
-  /// Optional observation hook (profiler). Serial replay only.
+  /// Optional observation hook (profiler).
   ExecutionObserver* observer = nullptr;
 
   /// Opt-in online placement (docs/online.md): the engine samples each
@@ -90,10 +63,8 @@ struct EngineOptions {
   /// policy's promote/demote migrations at kernel boundaries, charging
   /// their cost into the clock and the bandwidth meters. Requires a
   /// mode with `supports_object_migration()` and no observer attached
-  /// (profiling runs and online placement are mutually exclusive; the
-  /// combination fails uniformly at any thread count). Works under both
-  /// serial and parallel replay with bit-identical results (see the
-  /// file comment). The pointed-to config must outlive the run.
+  /// (profiling runs and online placement are mutually exclusive). The
+  /// pointed-to config must outlive the run.
   const online::OnlinePolicyConfig* online_policy = nullptr;
 
   /// Optional guidance seeding for the online policy (`--from-report`,
@@ -111,15 +82,12 @@ class ExecutionEngine {
 
   /// Replays `workload` under `mode`. Fails on inconsistent workloads,
   /// unrecoverable allocation failures (fallback tier exhausted), or an
-  /// invalid/unsupported `replay_threads` configuration.
+  /// unsupported online-placement configuration.
   [[nodiscard]] Expected<RunMetrics> run(const Workload& workload, ExecutionMode& mode);
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
  private:
-  [[nodiscard]] Expected<RunMetrics> run_serial(const Workload& workload, ExecutionMode& mode);
-  [[nodiscard]] Expected<RunMetrics> run_parallel(const Workload& workload, ExecutionMode& mode,
-                                                  std::size_t threads);
 
   const memsim::MemorySystem* system_;
   EngineOptions options_;

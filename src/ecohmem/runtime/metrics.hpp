@@ -1,10 +1,8 @@
 #pragma once
 
 /// \file metrics.hpp
-/// Results of one simulated run, plus the shared counters the parallel
-/// replay engine's workers tally into.
+/// Results of one simulated run.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,17 +11,6 @@
 #include "ecohmem/memsim/bandwidth_meter.hpp"
 
 namespace ecohmem::runtime {
-
-/// Shared mutable tallies of a concurrent replay. Replay workers bump
-/// these from many threads at once; relaxed atomics suffice because each
-/// counter is an independent sum read only after the workers have been
-/// joined (see docs/threading.md). Totals are interleaving-independent —
-/// the same ops give the same counts at any thread count.
-struct ConcurrentReplayCounters {
-  std::atomic<std::uint64_t> allocations{0};  ///< completed alloc + realloc ops
-  std::atomic<std::uint64_t> frees{0};        ///< completed free ops
-  std::atomic<std::uint64_t> next_uid{1};     ///< allocation-uid source
-};
 
 /// Per-function aggregates (Table VII rows).
 struct FunctionMetrics {

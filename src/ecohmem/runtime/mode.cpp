@@ -45,19 +45,6 @@ AppDirectMode::AppDirectMode(const memsim::MemorySystem* system, flexmalloc::Fle
   }
 }
 
-void AppDirectMode::on_replay_begin(const Workload& workload) {
-  // Pre-size the tier table so concurrent on_alloc calls write distinct
-  // elements and never race on a resize.
-  if (object_tier_.size() < workload.objects.size()) {
-    object_tier_.resize(workload.objects.size(), 0);
-  }
-}
-
-bool AppDirectMode::batch_placement_order_free(Bytes total_bytes,
-                                               std::uint64_t alloc_ops) const {
-  return fm_->can_absorb(total_bytes, alloc_ops);
-}
-
 Expected<std::uint64_t> AppDirectMode::on_alloc(std::size_t object, const ObjectSpec& spec,
                                                 const SiteSpec& site, Bytes size) {
   (void)spec;
@@ -70,19 +57,11 @@ Expected<std::uint64_t> AppDirectMode::on_alloc(std::size_t object, const Object
 }
 
 Status AppDirectMode::on_free(std::size_t object, std::uint64_t address) {
-  // A sub-range-migrated object owns several blocks; extract its
-  // fragment list under the leaf lock and free the blocks outside it
-  // (free takes the per-tier heap locks).
-  std::vector<Fragment> parts;
-  if (any_fragments_.load(std::memory_order_relaxed)) {
-    common::ScopedLock lock(fragments_mu_);
-    if (const auto it = fragments_.find(object); it != fragments_.end()) {
-      parts = std::move(it->second);
-      fragments_.erase(it);
-      if (fragments_.empty()) any_fragments_.store(false, std::memory_order_relaxed);
-    }
-  }
-  if (parts.empty()) return fm_->free(address);
+  // A sub-range-migrated object owns several blocks.
+  const auto it = fragments_.find(object);
+  if (it == fragments_.end()) return fm_->free(address);
+  const std::vector<Fragment> parts = std::move(it->second);
+  fragments_.erase(it);
   for (const Fragment& part : parts) {
     if (Status s = fm_->free(part.address); !s) return s;
   }
@@ -91,11 +70,6 @@ Status AppDirectMode::on_free(std::size_t object, std::uint64_t address) {
 
 const std::vector<AppDirectMode::Fragment>* AppDirectMode::fragments_of(
     std::size_t object) const {
-  // Fast path for the overwhelmingly common no-fragments case: resolve
-  // calls this per object per kernel, and runs without page-granular
-  // migration pay one relaxed load instead of a lock acquisition.
-  if (!any_fragments_.load(std::memory_order_relaxed)) return nullptr;
-  common::ScopedLock lock(fragments_mu_);
   const auto it = fragments_.find(object);
   return it != fragments_.end() ? &it->second : nullptr;
 }
@@ -152,15 +126,8 @@ Expected<ObjectMigration> AppDirectMode::migrate_object(std::size_t object,
   // A fragmented object (earlier sub-range moves) migrates all of its
   // blocks. Whole-object moves only target uniform residents (the
   // planner's victims), so every part lives in the same source tier.
-  // The fragment list is copied out of the leaf-locked map and written
-  // back after the heap calls — migrations run at kernel boundaries, so
-  // nothing mutates the entry in between (docs/threading.md).
-  std::vector<Fragment> parts;
-  {
-    common::ScopedLock lock(fragments_mu_);
-    if (const auto it = fragments_.find(object); it != fragments_.end()) parts = it->second;
-  }
-  if (!parts.empty()) {
+  if (const auto it = fragments_.find(object); it != fragments_.end()) {
+    std::vector<Fragment>& parts = it->second;
     ObjectMigration m;
     m.from_tier = object_tier_.at(object);
     for (const Fragment& part : parts) {
@@ -195,10 +162,6 @@ Expected<ObjectMigration> AppDirectMode::migrate_object(std::size_t object,
     object_tier_.at(object) = target_tier;
     m.moved = true;
     m.address = parts.front().address;
-    {
-      common::ScopedLock lock(fragments_mu_);
-      fragments_[object] = std::move(parts);
-    }
     return m;
   }
 
@@ -222,17 +185,11 @@ Expected<ObjectMigration> AppDirectMode::migrate_object_range(std::size_t object
   if (!fm_tier) return unexpected(fm_tier.error());
   if (length == 0) return unexpected("migrate_object_range: empty range");
 
-  // Copy the fragment list out of the leaf-locked map; the heap calls
-  // below must run with no ranked lock held. Safe because sub-range
-  // migrations happen at kernel boundaries, when no worker runs.
   std::vector<Fragment> parts;
   bool had_entry = false;
-  {
-    common::ScopedLock lock(fragments_mu_);
-    if (const auto it = fragments_.find(object); it != fragments_.end()) {
-      parts = it->second;
-      had_entry = true;
-    }
+  if (const auto it = fragments_.find(object); it != fragments_.end()) {
+    parts = it->second;
+    had_entry = true;
   }
 
   // Locate the part containing the range: the home block for an unsplit
@@ -314,11 +271,7 @@ Expected<ObjectMigration> AppDirectMode::migrate_object_range(std::size_t object
   }
   std::sort(next.begin(), next.end(),
             [](const Fragment& a, const Fragment& b) { return a.offset < b.offset; });
-  {
-    common::ScopedLock lock(fragments_mu_);
-    fragments_[object] = std::move(next);
-    any_fragments_.store(true, std::memory_order_relaxed);
-  }
+  fragments_[object] = std::move(next);
 
   // Once every byte lives in the target tier the object is an ordinary
   // resident again (e.g. eligible as a displacement victim).
@@ -327,7 +280,6 @@ Expected<ObjectMigration> AppDirectMode::migrate_object_range(std::size_t object
 }
 
 Bytes AppDirectMode::partial_resident_bytes(std::size_t object, std::size_t tier) const {
-  common::ScopedLock lock(fragments_mu_);
   const auto it = fragments_.find(object);
   if (it == fragments_.end()) return 0;
   Bytes total = 0;
@@ -366,8 +318,9 @@ Expected<std::uint64_t> MemoryModeExec::on_alloc(std::size_t object, const Objec
   (void)object;
   (void)spec;
   (void)site;
-  const std::uint64_t span = (size + kCacheLine - 1) / kCacheLine * kCacheLine;
-  return next_address_.fetch_add(span, std::memory_order_relaxed);
+  const std::uint64_t address = next_address_;
+  next_address_ += (size + kCacheLine - 1) / kCacheLine * kCacheLine;
+  return address;
 }
 
 Status MemoryModeExec::on_free(std::size_t object, std::uint64_t address) {
@@ -422,8 +375,9 @@ Expected<std::uint64_t> FixedTierMode::on_alloc(std::size_t object, const Object
   (void)object;
   (void)spec;
   (void)site;
-  const std::uint64_t span = (size + kCacheLine - 1) / kCacheLine * kCacheLine;
-  return next_address_.fetch_add(span, std::memory_order_relaxed);
+  const std::uint64_t address = next_address_;
+  next_address_ += (size + kCacheLine - 1) / kCacheLine * kCacheLine;
+  return address;
 }
 
 Status FixedTierMode::on_free(std::size_t object, std::uint64_t address) {

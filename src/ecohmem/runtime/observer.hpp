@@ -41,10 +41,8 @@ struct KernelObservation {
 
 /// Receives the replay event stream.
 ///
-/// \note Observers are a serial-replay feature: the engine invokes all
-/// hooks from the engine thread, in program order, and rejects
-/// `EngineOptions.replay_threads > 1` when an observer is attached —
-/// the trace is an ordered artifact (docs/threading.md). Implementations
+/// \note The engine invokes all hooks from its one replay thread, in
+/// program order — the trace is an ordered artifact. Implementations
 /// therefore need no internal locking.
 class ExecutionObserver {
  public:

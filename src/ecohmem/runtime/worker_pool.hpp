@@ -1,20 +1,19 @@
 #pragma once
 
 /// \file worker_pool.hpp
-/// A small fork-join worker pool for the parallel replay engine.
+/// A small fork-join worker pool for parallel trace decode and the
+/// analyzer's parallel aggregation.
 ///
-/// The engine's parallel path alternates between fan-out phases (replay
-/// an allocation batch, bin a kernel's bandwidth) and serial phases (the
-/// kernel fixed point), so the pool offers exactly one primitive:
-/// `run(fn)` executes `fn(worker_index)` on every worker and returns when
-/// all of them have finished. Workers are long-lived — one spawn per
-/// run, not per batch.
+/// Those callers alternate between fan-out phases and serial phases, so
+/// the pool offers exactly one primitive: `run(fn)` executes
+/// `fn(worker_index)` on every worker and returns when all of them have
+/// finished. Workers are long-lived — one spawn per pool, not per phase.
 ///
 /// Thread safety: `run` must be called from one coordinating thread at a
-/// time (the engine thread). The pool uses a ranked mutex + condition
-/// variables only for phase hand-off (lock-rank table:
-/// docs/threading.md); work partitioning inside `fn` is the caller's job
-/// (the engine shards by object id or item index).
+/// time. The pool uses a ranked mutex + condition variables only for
+/// phase hand-off (lock-rank table: docs/threading.md); work
+/// partitioning inside `fn` is the caller's job (the callers shard by
+/// block index or site key).
 ///
 /// Exceptions: a task that throws on a worker does not crash or deadlock
 /// the pool. The first exception (by worker completion order) is

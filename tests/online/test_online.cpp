@@ -13,7 +13,6 @@
 #include "ecohmem/online/planner.hpp"
 #include "ecohmem/online/policy_config.hpp"
 #include "ecohmem/online/sampler.hpp"
-#include "ecohmem/online/sharded.hpp"
 
 namespace ecohmem::online {
 namespace {
@@ -206,6 +205,17 @@ TEST(Hotness, ForgetDropsHistory) {
   tracker.forget(1);
   EXPECT_DOUBLE_EQ(tracker.hotness(1), 0.0);
   EXPECT_DOUBLE_EQ(tracker.shield(1), 0.0);
+  EXPECT_EQ(tracker.tracked(), 0u);
+}
+
+TEST(Hotness, SeedMakesObjectMatureAtPrior) {
+  HotnessTracker tracker(0.5, 4);
+  tracker.seed(5, 7.5);
+  EXPECT_EQ(tracker.hotness(5), 7.5);
+  EXPECT_EQ(tracker.shield(5), 7.5);
+  EXPECT_GE(tracker.age(5), 4u);
+  tracker.forget(5);
+  EXPECT_EQ(tracker.hotness(5), 0.0);
   EXPECT_EQ(tracker.tracked(), 0u);
 }
 
@@ -434,81 +444,6 @@ TEST(Planner, PartialMovesRespectByteBudget) {
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].bytes, 128u);  // budget-floored, chunk-aligned
   EXPECT_TRUE(moves[0].partial);
-}
-
-// ------------------------------------------------------- sharded state
-
-/// The shard decomposition is a pure function of the object id — the
-/// property that makes `--online` thread-count independent.
-TEST(Sharded, ShardOfDependsOnlyOnObjectId) {
-  for (std::size_t o = 0; o < 64; ++o) {
-    EXPECT_EQ(ShardedOnlineState::shard_of(o), o % kOnlineShards);
-  }
-}
-
-std::vector<ObjectAccess> mixed_feedback() {
-  std::vector<ObjectAccess> feedback;
-  for (std::size_t o = 0; o < 24; ++o) {
-    feedback.push_back(ObjectAccess{o, 1000.0 + static_cast<double>(o) * 10.0, 50.0,
-                                    Bytes{1} << 20});
-  }
-  return feedback;
-}
-
-TEST(Sharded, ShardProcessingOrderCommutes) {
-  OnlinePolicyConfig config;
-  config.sample_rate = 0.05;  // subsampled: RNG stream position matters
-  ShardedOnlineState forward(config);
-  ShardedOnlineState backward(config);
-  const auto feedback = mixed_feedback();
-
-  for (int kernel = 0; kernel < 3; ++kernel) {
-    for (std::size_t s = 0; s < kOnlineShards; ++s) forward.process_kernel_shard(s, feedback);
-    for (std::size_t s = kOnlineShards; s-- > 0;) backward.process_kernel_shard(s, feedback);
-  }
-  ASSERT_EQ(forward.tracked(), backward.tracked());
-  for (std::size_t o = 0; o < 24; ++o) {
-    EXPECT_EQ(forward.hotness(o), backward.hotness(o)) << "object " << o;
-    EXPECT_EQ(forward.shield(o), backward.shield(o)) << "object " << o;
-    EXPECT_EQ(forward.age(o), backward.age(o)) << "object " << o;
-  }
-}
-
-TEST(Sharded, MatchesSingleTrackerStreamPerShard) {
-  // A shard's sample stream must equal what a dedicated sampler seeded
-  // the same way would produce for that shard's objects in stream order
-  // — the definition of "serial order within a shard".
-  OnlinePolicyConfig config;
-  config.sample_rate = 1.0;  // exact: hotness is then pure arithmetic
-  ShardedOnlineState state(config);
-  const auto feedback = mixed_feedback();
-  for (std::size_t s = 0; s < kOnlineShards; ++s) state.process_kernel_shard(s, feedback);
-
-  HotnessTracker reference(config.ewma_alpha, config.window);
-  // Any seed works at rate 1.0: full-rate sampling is exact, so the
-  // shard's private RNG stream cannot influence the counts.
-  AccessSampler sampler(config.sample_rate, config.seed);
-  for (const auto& f : feedback) {
-    if (ShardedOnlineState::shard_of(f.object) != 0) continue;
-    const SampledAccess s = sampler.sample(f);
-    reference.record(f.object, static_cast<double>(s.loads + s.stores), f.bytes);
-  }
-  reference.end_kernel();
-  for (std::size_t o = 0; o < 24; o += kOnlineShards) {
-    EXPECT_EQ(state.hotness(o), reference.hotness(o)) << "object " << o;
-  }
-}
-
-TEST(Sharded, SeedMakesObjectMatureAtPrior) {
-  OnlinePolicyConfig config;
-  ShardedOnlineState state(config);
-  state.seed(5, 7.5);
-  EXPECT_EQ(state.hotness(5), 7.5);
-  EXPECT_EQ(state.shield(5), 7.5);
-  EXPECT_GE(state.age(5), config.window);
-  state.forget(5);
-  EXPECT_EQ(state.hotness(5), 0.0);
-  EXPECT_EQ(state.tracked(), 0u);
 }
 
 // ---------------------------------------------------------- cost model

@@ -7,6 +7,10 @@
 //   ecohmem-profile --app <name> --out <trace.trc>
 //                   [--iterations N] [--rate HZ] [--seed S]
 //                   [--pmem-dimms 6] [--no-stores]
+//                   [--format v1|v2|v3] [--compact] [--block-events N] [--compress]
+//
+// Writes the indexed v3 format by default; --format v1|v2 and --compact
+// (the v2 shorthand) write the legacy formats.
 //
 // Example:
 //   ecohmem-profile --app lulesh --out /tmp/lulesh.trc
@@ -32,10 +36,10 @@ int main(int argc, char** argv) {
         "                       [--pmem-dimms 6] [--no-stores]\n"
         "                       [--format v1|v2|v3] [--compact] [--block-events N]\n"
         "                       [--compress]\n"
-        "  --format v3 writes the indexed block format (mmap random access,\n"
-        "  parallel decode); --compact is the v2 shorthand kept for\n"
-        "  compatibility. --block-events sets the v3 block granularity.\n"
-        "  --compress bit-packs each v3 block's columns (v3 only).\n"
+        "  --format defaults to v3, the indexed block format (mmap random\n"
+        "  access, parallel decode); v1/v2 and --compact (the v2 shorthand)\n"
+        "  write the legacy formats. --block-events sets the v3 block\n"
+        "  granularity. --compress bit-packs each v3 block's columns (v3 only).\n"
         "apps: ");
     for (const auto& a : apps::app_names()) std::printf("%s ", a.c_str());
     std::printf("\n");
@@ -80,7 +84,7 @@ int main(int argc, char** argv) {
 
   const trace::Trace t = prof.take_trace();
   trace::TraceWriteOptions wopt;
-  const std::string format = args.get("format", args.has("compact") ? "v2" : "v1");
+  const std::string format = args.get("format", args.has("compact") ? "v2" : "v3");
   if (format == "v3") {
     wopt.indexed = true;
     wopt.block_events = static_cast<std::uint64_t>(*block_events);

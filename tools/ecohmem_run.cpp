@@ -13,18 +13,12 @@
 // module layout is re-randomized ASLR-style to demonstrate that BOM
 // matching is base-independent.
 //
-// --threads N > 1 replays the allocation stream on N worker threads
-// (docs/threading.md); placement decisions, tier byte totals, OOM
-// redirects and the simulated clock are identical to --threads 1 — with
-// and without --online (the online state is sharded on object id, see
-// docs/online.md). Batches that could exhaust a tier mid-flight (where
-// OOM redirection would become order-dependent) are detected by a
-// capacity guard and replayed in program order instead of fanning out.
+// --threads N is accepted and range-checked (1..256) for compatibility
+// with existing scripts, and ignored: the replay is serial.
 
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <thread>
 
 #include "cli_common.hpp"
 #include "ecohmem/apps/apps.hpp"
@@ -70,12 +64,10 @@ int main(int argc, char** argv) {
         "                   [--threads N] [--online <policy.ini>]\n"
         "                   [--from-report <report.txt>] [--migration-log <out.csv>]\n"
         "\n"
-        "  --threads N        replay the allocation stream on N worker threads\n"
-        "                     (1..256, default 1; results are thread-count independent —\n"
-        "                     batches that could exhaust a tier replay in program order,\n"
-        "                     and the online policy's state is sharded on object id)\n"
+        "  --threads N        accepted for compatibility (1..256) and ignored;\n"
+        "                     the replay is serial\n"
         "  --online F         enable the online placement policy from INI file F\n"
-        "                     (docs/online.md; works at any --threads count)\n"
+        "                     (docs/online.md)\n"
         "  --from-report R    seed the online policy from Advisor report R: objects at\n"
         "                     fast-guided sites start with mature hotness, stranded ones\n"
         "                     are promoted at the first evaluation (requires --online)\n"
@@ -88,8 +80,10 @@ int main(int argc, char** argv) {
   if (!iterations) return cli::fail(iterations.error());
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
   if (!pmem_dimms) return cli::fail(pmem_dimms.error());
-  const auto threads = args.get_int_in_range("threads", 1, 1, 256);
-  if (!threads) return cli::fail(threads.error());
+  // Accepted and range-checked, then ignored (see the file comment).
+  if (const auto threads = args.get_int_in_range("threads", 1, 1, 256); !threads) {
+    return cli::fail(threads.error());
+  }
 
   // Flag-combination rules (docs/cli.md): bad combinations are usage
   // errors (exit 2) with a one-line reason, uniformly.
@@ -122,9 +116,8 @@ int main(int argc, char** argv) {
   auto fm_heaps = std::vector<flexmalloc::HeapSpec>{
       {"dram", args.get_bytes("dram-capacity", 12ull << 30)},
       {"pmem", system->tier(system->fallback_index()).capacity()}};
-  // The match cache pays off when many threads hammer the same hot call
-  // stacks; it changes overhead accounting but never placement. Enabled
-  // at every thread count so the configuration is thread-independent.
+  // The match cache memoizes matching; it changes overhead accounting
+  // but never placement.
   flexmalloc::MatcherOptions matcher_options;
   matcher_options.match_cache = true;
   auto fm = flexmalloc::FlexMalloc::create(std::move(fm_heaps), *report,
@@ -133,7 +126,6 @@ int main(int argc, char** argv) {
 
   runtime::AppDirectMode mode(&*system, &*fm);
   runtime::EngineOptions engine_options;
-  engine_options.replay_threads = static_cast<int>(*threads);
 
   std::optional<online::OnlinePolicyConfig> online_policy;
   if (args.has("online")) {
@@ -177,8 +169,7 @@ int main(int argc, char** argv) {
   std::printf("  production : %8.3f s\n", static_cast<double>(production->total_ns) * 1e-9);
   std::printf("  memory mode: %8.3f s\n", static_cast<double>(baseline->total_ns) * 1e-9);
   std::printf("  speedup    : %8.2fx\n", production->speedup_over(*baseline));
-  std::printf("  replay     : %lld thread(s), %.1f ms wall clock (host has %u cores)\n",
-              *threads, wall_ms, std::thread::hardware_concurrency());
+  std::printf("  replay     : %.1f ms wall clock\n", wall_ms);
   std::printf("  matching   : %llu lookups, %llu hits, %llu OOM redirects\n",
               static_cast<unsigned long long>(fm->matcher().lookups()),
               static_cast<unsigned long long>(fm->matcher().hits()),
