@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <utility>
+
 namespace ecohmem::memsim {
 namespace {
 
@@ -132,13 +136,6 @@ TEST_P(TierParamTest, LoadedLatencyAnchoredAtReferenceUtilization) {
   EXPECT_NEAR(tier.write_latency_ns(kReferenceUtilization), GetParam().loaded_write_ns, 1e-9);
 }
 
-TEST_P(TierParamTest, LatencyBoundedAtSaturation) {
-  MemoryTier tier(GetParam());
-  const double at_max = tier.read_latency_ns(kMaxUtilization);
-  EXPECT_GT(at_max, GetParam().loaded_read_ns);
-  EXPECT_LT(at_max, GetParam().loaded_read_ns * 10.0);  // finite blow-up
-}
-
 INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest,
                          ::testing::Values(ddr4_dram_spec(), optane_pmem_spec(6),
                                            optane_pmem_spec(2), hbm2_spec()),
@@ -146,6 +143,39 @@ INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest,
                            return param_info.param.name + "_" +
                                   std::to_string(param_info.param.capacity >> 30);
                          });
+
+/// A tier spec with a printable label. gtest prints a bare TierSpec as raw
+/// bytes, which include the heap address of its name string, so the listed
+/// test name would change from run to run; this prints the label instead.
+struct LabeledTier {
+  TierSpec spec;
+  std::string label;
+};
+
+void PrintTo(const LabeledTier& tier, std::ostream* os) { *os << tier.label; }
+
+LabeledTier labeled(TierSpec spec) {
+  std::string label = spec.name + "_" + std::to_string(spec.capacity >> 30);
+  return {std::move(spec), std::move(label)};
+}
+
+/// Property sweep: for every tier spec, latency at full utilization exceeds
+/// the loaded latency but stays finite.
+class TierSaturationTest : public ::testing::TestWithParam<LabeledTier> {};
+
+TEST_P(TierSaturationTest, LatencyBoundedAtSaturation) {
+  const TierSpec& spec = GetParam().spec;
+  MemoryTier tier(spec);
+  const double at_max = tier.read_latency_ns(kMaxUtilization);
+  EXPECT_GT(at_max, spec.loaded_read_ns);
+  EXPECT_LT(at_max, spec.loaded_read_ns * 10.0);  // finite blow-up
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, TierSaturationTest,
+                         ::testing::Values(labeled(ddr4_dram_spec()),
+                                           labeled(optane_pmem_spec(6)),
+                                           labeled(optane_pmem_spec(2)), labeled(hbm2_spec())),
+                         [](const auto& param_info) { return param_info.param.label; });
 
 }  // namespace
 }  // namespace ecohmem::memsim
