@@ -47,7 +47,7 @@ void Session::applier_loop() {
       common::ScopedLock lock(queue_mu_);
       work_cv_.wait(queue_mu_, [this] {
         queue_mu_.assert_held();
-        return stopping_ || !queue_.empty();
+        return snapshots_waiting_ == 0 && (stopping_ || !queue_.empty());
       });
       // Drain semantics: keep applying until the queue is empty even
       // when stopping — accepted blocks are never dropped.
@@ -72,21 +72,39 @@ void Session::applier_loop() {
   }
 }
 
-void Session::flush() {
+void Session::flush() { flush_barrier(/*hold_applier=*/false); }
+
+void Session::flush_barrier(bool hold_applier) {
   common::ScopedLock lock(queue_mu_);
   const std::uint64_t target = accepted_blocks_;
   applied_cv_.wait(queue_mu_, [this, target] {
     queue_mu_.assert_held();
     return applied_blocks_ >= target;
   });
+  if (hold_applier) ++snapshots_waiting_;
 }
 
 Expected<Session::Snapshot> Session::snapshot() {
   // Flush barrier: every block accepted before this call must be
   // applied. Blocks accepted *during* the wait may also land — the
   // snapshot is then simply a later consistent prefix.
-  flush();
+  //
+  // The barrier also holds the applier: it finishes the block it may
+  // have popped and starts no other until the snapshot is cut. The
+  // store mutex is not fair, so an applier that re-locks it between
+  // back-to-back blocks would otherwise keep the snapshot waiting for
+  // as long as the ingest queue stays non-empty.
+  flush_barrier(/*hold_applier=*/true);
+  auto snap = cut_snapshot();
+  {
+    common::ScopedLock lock(queue_mu_);
+    --snapshots_waiting_;
+  }
+  work_cv_.notify_one();
+  return snap;
+}
 
+Expected<Session::Snapshot> Session::cut_snapshot() {
   common::ScopedLock lock(store_mu_);
   if (!store_.error().empty()) return unexpected(store_.error());
   if (cached_ != nullptr && cached_epoch_ == epoch_) {

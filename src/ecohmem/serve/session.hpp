@@ -20,7 +20,9 @@
 ///    counters and the snapshot cache.
 /// The applier moves one block at a time: pop under the queue lock,
 /// apply under the store lock, acknowledge under the queue lock — at
-/// most one ranked lock held at any point.
+/// most one ranked lock held at any point. A flushed snapshot holds
+/// the applier off the store until it is cut, so a query waits for at
+/// most one more block however busy the ingest queue is.
 ///
 /// `SessionManager` is the daemon's registry: id-sharded, each shard
 /// behind a `serve_registry_shard` shared mutex. Lookups copy the
@@ -137,6 +139,14 @@ class Session {
  private:
   void applier_loop();
 
+  /// `flush()`; with `hold_applier` the applier then starts no new
+  /// block until the caller releases `snapshots_waiting_`.
+  void flush_barrier(bool hold_applier);
+
+  /// Finalizes (or reuses) the current epoch's analysis under the
+  /// store lock.
+  [[nodiscard]] Expected<Snapshot> cut_snapshot();
+
   const std::uint64_t id_;
   const trace::codec::HeaderInfo header_;
   const SessionOptions options_;
@@ -149,6 +159,8 @@ class Session {
   std::uint64_t accepted_blocks_ ECOHMEM_GUARDED_BY(queue_mu_) = 0;
   std::uint64_t applied_blocks_ ECOHMEM_GUARDED_BY(queue_mu_) = 0;
   bool stopping_ ECOHMEM_GUARDED_BY(queue_mu_) = false;
+  /// Flushed snapshots not yet cut; the applier waits while non-zero.
+  std::uint32_t snapshots_waiting_ ECOHMEM_GUARDED_BY(queue_mu_) = 0;
 
   common::RankedMutex store_mu_{common::lockdep::LockRank::kServeSessionStore,
                                 "serve_session_store"};

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -383,6 +384,55 @@ TEST(ServeConcurrencySession, ConcurrentQueriesDuringIngest) {
   ASSERT_TRUE(final_snap.has_value()) << final_snap.error();
   EXPECT_EQ(final_snap->events, t.events.size());
   expect_identical(*offline, *final_snap->analysis);
+}
+
+TEST(ServeConcurrencySession, SnapshotIsNotStarvedByAFullQueue) {
+  // The writer keeps the ingest queue full, so the applier never runs
+  // dry. A snapshot must still be cut once the blocks it flushed are
+  // applied, not whenever the writer happens to stop.
+  trace::codec::HeaderInfo h;
+  trace::StackTable stacks;
+  const trace::StackId s = stacks.intern(bom::CallStack{{{0, 0x10}}});
+  h.stacks = stacks;
+  const SessionOptions opts;
+  Session session(1, h, opts);
+
+  std::vector<trace::Event> first;
+  first.emplace_back(trace::AllocEvent{1, 1, 0x1000, 64, s, trace::AllocKind::kMalloc});
+  ASSERT_EQ(session.enqueue_block(std::move(first)), Session::Enqueue::kAccepted);
+  const std::vector<trace::Event> samples(
+      4096, trace::Event{trace::SampleEvent{2, 0x1010, 1.0, 100.0, false, 0}});
+
+  constexpr std::uint64_t kBudget = 5'000;  // blocks: dozens of queues' worth
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> accepted{1};
+  std::thread writer([&] {
+    while (!stop.load() && accepted.load() < kBudget) {
+      auto copy = samples;
+      if (session.enqueue_block(std::move(copy)) == Session::Enqueue::kAccepted) {
+        accepted.fetch_add(1);
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));  // a client's BUSY backoff
+      }
+    }
+  });
+  while (accepted.load() < opts.queue_blocks) std::this_thread::yield();
+
+  // The snapshot flushes what was accepted before it, and at most one
+  // more block lands before it is cut. Between reading the counter and
+  // the snapshot's own flush the writer can only refill what the
+  // applier drains meanwhile; four queues' worth bounds that with a
+  // wide margin, while a snapshot left waiting on the store sees
+  // blocks go by for as long as the writer keeps the queue full.
+  const std::uint64_t accepted_before = accepted.load();
+  const auto snap = session.snapshot();
+  stop.store(true);
+  writer.join();
+  ASSERT_TRUE(snap.has_value()) << snap.error();
+  EXPECT_GE(snap->epoch, accepted_before);
+  EXPECT_LE(snap->epoch, accepted_before + 4 * opts.queue_blocks)
+      << "the applier kept the snapshot waiting";
+  EXPECT_EQ(snap->events, 1 + (snap->epoch - 1) * samples.size());
 }
 
 TEST(ServeConcurrencySession, ManagerShardsSessionsById) {
