@@ -1,26 +1,28 @@
 // Trace pipeline benchmark: write / read / aggregate throughput of the
 // v2 compact stream format, the v3 indexed block format, and v3 with
-// compressed (bit-packed columnar) blocks, serial vs parallel, on a
-// >= 10M-event synthetic trace plus every Fig. 6 mini-app profile.
-// Records BENCH_trace_pipeline.json.
+// compressed (bit-packed columnar) blocks, on a >= 10M-event synthetic
+// trace. Records BENCH_trace_pipeline.json.
 //
-// Determinism contract: for each app the parallel aggregation must be
-// bit-identical to serial ("identical": true), and the compressed
+// Aggregation runs the one analyzer fold two ways: one-shot analyze()
+// over the decoded trace, and ingest in 4096-event slices followed by
+// finalize (the serving layer's path). Identity contract: the two must
+// give bit-identical analyses ("identical": true; compared by the
+// golden-test digest), and the compressed
 // trace must decode to events bit-identical to the uncompressed one;
-// any violation exits nonzero. Wall-clock parallel speedup is
-// hardware-dependent: on a single-core host the 4-thread path cannot
-// beat serial wall time and the JSON records that honestly
-// (hardware_concurrency is part of the record, as in
-// BENCH_parallel_replay.json); the >= 2x bound is then asserted on
-// per-block decode throughput — the v3 mmap block decode against the
-// v2 bounded-buffer istream decode — instead of on aggregate wall
-// time. Serial and parallel aggregation repeats are interleaved (after
-// an untimed warm-up pair) so allocator or cache drift cannot bias
-// either side; the zero-regression bound requires parallel >= 0.98x
-// serial even when thread clamping makes both run the same path.
+// any violation exits nonzero in every mode.
+//
+// Bounds, enforced at full size and recorded but not gated in smoke
+// mode (a sub-second trace measures call overhead, not throughput):
+//  - per-block decode: the v3 mmap block decode must be >= 2x the v2
+//    bounded-buffer istream decode (blocks decode independently, so
+//    --threads N workers scale this per-core rate);
+//  - aggregation: one-shot analyze() must fold >= kAggregateFloor
+//    events/s on the synthetic trace;
+//  - compressed read: <= 1.15x the uncompressed read wall time.
 //
 // Usage: bench_trace_pipeline [--events N] [--threads N] [--repeats R]
 //                             [--out FILE] [--smoke]
+//   --threads N  decode workers for the parallel and salvage reads
 
 #include <chrono>
 #include <cstdio>
@@ -29,10 +31,11 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/analyzer/analysis_digest.hpp"
 #include "bench_common.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
+#include "ecohmem/analyzer/incremental.hpp"
 #include "ecohmem/common/faultinject.hpp"
-#include "ecohmem/profiler/profiler.hpp"
 #include "ecohmem/trace/codec.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
@@ -84,7 +87,7 @@ void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::S
           sink(trace::Event{trace::MarkerEvent{time, fn, true}});
         } else {
           // Swap-and-pop keeps the generator O(1) per event (the live set
-          // still grows to ~12% of n, which exercises the span index).
+          // still grows to ~12% of n, which exercises the live-set lookup).
           const std::size_t k = rnd() % live.size();
           sink(trace::Event{trace::FreeEvent{time, live[k].first}});
           live[k] = live.back();
@@ -106,60 +109,35 @@ void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::S
   }
 }
 
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0;
-  std::uint64_t ub = 0;
-  std::memcpy(&ua, &a, 8);
-  std::memcpy(&ub, &b, 8);
-  return ua == ub;
+/// Ingest slice of the sliced aggregation (the serving layer's v3
+/// block size).
+constexpr std::size_t kSliceEvents = 4096;
+
+/// Aggregation floor on the 10M-event synthetic trace, events/s of
+/// one-shot analyze(). On the 4-core, RelWithDebInfo, gcc 12 host that
+/// recorded BENCH_trace_pipeline.json, the serial offline analyzer this
+/// fold replaced ran at 1.01-1.55M events/s and the fold at 1.19-2.42M
+/// (the spread is load from other tenants of the shared host); the floor
+/// sits below both, so only a fall well under the old speed trips it.
+constexpr double kAggregateFloor = 800e3;
+
+analyzer::AnalysisResult analyze_or_die(const trace::Trace& t) {
+  auto result = analyzer::analyze(t);
+  if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
+  return std::move(*result);
 }
 
-/// Bitwise equality of two analyses — the determinism contract the
-/// parallel aggregator must honor (docs/threading.md).
-bool results_identical(const analyzer::AnalysisResult& a, const analyzer::AnalysisResult& b) {
-  if (a.sites.size() != b.sites.size() || a.functions.size() != b.functions.size() ||
-      a.system_bw.size() != b.system_bw.size() || a.trace_end != b.trace_end ||
-      !bits_equal(a.observed_peak_bw_gbs, b.observed_peak_bw_gbs) ||
-      !bits_equal(a.unattributed_samples, b.unattributed_samples)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.sites.size(); ++i) {
-    const analyzer::SiteRecord& x = a.sites[i];
-    const analyzer::SiteRecord& y = b.sites[i];
-    if (x.stack != y.stack || x.callstack != y.callstack || x.max_size != y.max_size ||
-        x.peak_live_bytes != y.peak_live_bytes || x.alloc_count != y.alloc_count ||
-        x.first_alloc != y.first_alloc || x.last_free != y.last_free ||
-        x.has_writes != y.has_writes || x.windows.size() != y.windows.size() ||
-        !bits_equal(x.load_misses, y.load_misses) ||
-        !bits_equal(x.store_misses, y.store_misses) ||
-        !bits_equal(x.avg_load_latency_ns, y.avg_load_latency_ns) ||
-        !bits_equal(x.total_lifetime_ns, y.total_lifetime_ns) ||
-        !bits_equal(x.mean_lifetime_ns, y.mean_lifetime_ns) ||
-        !bits_equal(x.exec_bw_gbs, y.exec_bw_gbs) ||
-        !bits_equal(x.alloc_time_system_bw_gbs, y.alloc_time_system_bw_gbs) ||
-        !bits_equal(x.exec_time_system_bw_gbs, y.exec_time_system_bw_gbs)) {
-      return false;
-    }
-    for (std::size_t w = 0; w < x.windows.size(); ++w) {
-      if (x.windows[w].start != y.windows[w].start || x.windows[w].end != y.windows[w].end) {
-        return false;
-      }
+analyzer::AnalysisResult ingest_sliced_or_die(const trace::Trace& t) {
+  analyzer::IncrementalAggregator inc(t.stacks, t.functions);
+  for (std::size_t begin = 0; begin < t.events.size(); begin += kSliceEvents) {
+    const std::size_t count = std::min(kSliceEvents, t.events.size() - begin);
+    if (const auto s = inc.ingest(t.events.data() + begin, count); !s.ok()) {
+      std::exit((std::fprintf(stderr, "error: %s\n", s.error().c_str()), 1));
     }
   }
-  for (std::size_t i = 0; i < a.functions.size(); ++i) {
-    if (a.functions[i].name != b.functions[i].name ||
-        !bits_equal(a.functions[i].load_samples, b.functions[i].load_samples) ||
-        !bits_equal(a.functions[i].avg_load_latency_ns, b.functions[i].avg_load_latency_ns)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.system_bw.size(); ++i) {
-    if (a.system_bw[i].time != b.system_bw[i].time ||
-        !bits_equal(a.system_bw[i].gbs, b.system_bw[i].gbs)) {
-      return false;
-    }
-  }
-  return true;
+  auto result = inc.finalize();
+  if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
+  return std::move(*result);
 }
 
 template <typename Fn>
@@ -185,17 +163,10 @@ struct SyntheticStats {
   double salvage_read_ms = 0;
   std::uint64_t salvage_recovered = 0, salvage_declared = 0;
   double v2_stream_decode_ms = 0, v3_block_decode_ms = 0, v3c_block_decode_ms = 0;
-  double aggregate_serial_ms = 0, aggregate_parallel_ms = 0;
+  double aggregate_ms = 0, aggregate_sliced_ms = 0;
   bool aggregate_identical = false;
   bool read_identical = false;
   bool compressed_identical = false;
-};
-
-struct AppRow {
-  std::string app;
-  std::uint64_t events = 0;
-  double serial_ms = 0, parallel_ms = 0;
-  bool identical = false;
 };
 
 }  // namespace
@@ -227,8 +198,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::print_header("Trace pipeline: v2 stream vs v3 indexed blocks, serial vs parallel",
-                      "indexed trace format + sharded aggregation (docs/trace_format.md)");
+  bench::print_header("Trace pipeline: v2 stream vs v3 indexed blocks, one-shot vs sliced fold",
+                      "indexed trace format + the analyzer fold (docs/trace_format.md)");
   std::printf("host cores: %u, threads: %d, repeats: %d (best-of), synthetic events: %zu%s\n\n",
               std::thread::hardware_concurrency(), threads, repeats, n_events,
               smoke ? " [smoke]" : "");
@@ -317,7 +288,8 @@ int main(int argc, char** argv) {
   syn.v3_bytes = file_size(v3_path);
   syn.v3c_bytes = file_size(v3c_path);
 
-  // Read throughput: v2 bulk load, v3 mmap serial, v3 mmap parallel.
+  // Read throughput: v2 bulk load, v3 mmap parallel, then v3 mmap
+  // serial against compressed v3.
   trace::TraceBundle v2_bundle;
   syn.v2_read_ms = best_of(repeats, [&] {
     auto loaded = trace::load_trace(v2_path);
@@ -333,39 +305,47 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", reader.error().c_str());
     return 1;
   }
-  trace::TraceBundle v3_bundle;
-  syn.v3_read_serial_ms = best_of(repeats, [&] {
-    auto bundle = reader->read_all(1);
-    if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
-    v3_bundle = std::move(*bundle);
-  });
   trace::TraceBundle v3_parallel_bundle;
   syn.v3_read_parallel_ms = best_of(repeats, [&] {
     auto bundle = reader->read_all(threads);
     if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
     v3_parallel_bundle = std::move(*bundle);
   });
-  syn.read_identical = v2_bundle.trace.events.size() == v3_bundle.trace.events.size() &&
-                       v3_bundle.trace.events.size() == v3_parallel_bundle.trace.events.size();
+  const std::size_t v2_events = v2_bundle.trace.events.size();
+  const std::size_t v3_parallel_events = v3_parallel_bundle.trace.events.size();
   v2_bundle = {};           // only their event counts are compared; drop the
-  v3_parallel_bundle = {};  // ~0.5 GB each before the compressed read below
+  v3_parallel_bundle = {};  // ~0.5 GB each before the serial reads below
 
   // Compressed v3: same events through bit-packed columnar blocks (what
   // `ecohmem-profile --compress` writes). Reads must flow through the
   // same reader, and the decoded events must be bit-identical to the
-  // uncompressed read (verified below by re-encoding both streams).
+  // uncompressed read (verified below by re-encoding both streams). The
+  // compressed-read bound compares the two serial reads, so their
+  // repeats are interleaved: timing all of one before all of the other
+  // lets allocator and page-cache drift bias whichever runs second.
   const auto c_reader = trace::TraceReader::open(v3c_path);
   if (!c_reader) {
     std::fprintf(stderr, "error: %s\n", c_reader.error().c_str());
     return 1;
   }
+  trace::TraceBundle v3_bundle;
   {
     trace::TraceBundle v3c_bundle;
-    syn.v3c_read_ms = best_of(repeats, [&] {
-      auto bundle = c_reader->read_all(1);
+    const auto read_serial = [](const trace::TraceReader& from, trace::TraceBundle& dst) {
+      const auto start = Clock::now();
+      auto bundle = from.read_all(1);
       if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
-      v3c_bundle = std::move(*bundle);
-    });
+      dst = std::move(*bundle);
+      return ms_since(start);
+    };
+    for (int r = 0; r < repeats; ++r) {
+      const double plain_ms = read_serial(*reader, v3_bundle);
+      if (r == 0 || plain_ms < syn.v3_read_serial_ms) syn.v3_read_serial_ms = plain_ms;
+      const double compressed_ms = read_serial(*c_reader, v3c_bundle);
+      if (r == 0 || compressed_ms < syn.v3c_read_ms) syn.v3c_read_ms = compressed_ms;
+    }
+    syn.read_identical = v2_events == v3_bundle.trace.events.size() &&
+                         v3_parallel_events == v3_bundle.trace.events.size();
     syn.compressed_identical =
         v3c_bundle.trace.events.size() == v3_bundle.trace.events.size();
     if (syn.compressed_identical) {
@@ -477,39 +457,26 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Aggregate: serial vs parallel analysis of the same decoded trace.
-  // The timed repeats are interleaved, after one untimed warm-up pair:
-  // running all serial repeats before all parallel ones lets allocator
-  // and cache drift bias whichever side runs second (observed as a
-  // phantom ~10% "slowdown" on a clamped 1-core host where both sides
-  // execute the identical code path).
-  analyzer::AnalysisResult serial_result;
-  analyzer::AnalysisResult parallel_result;
-  {
-    analyzer::AnalyzerOptions serial_opt;
-    analyzer::AnalyzerOptions parallel_opt;
-    parallel_opt.threads = threads;
-    const auto run = [&](const analyzer::AnalyzerOptions& opt, analyzer::AnalysisResult& dst) {
-      auto result = analyzer::analyze(v3_bundle.trace, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      dst = std::move(*result);
-    };
-    run(serial_opt, serial_result);
-    run(parallel_opt, parallel_result);
-    for (int r = 0; r < repeats; ++r) {
-      auto start = Clock::now();
-      run(serial_opt, serial_result);
-      const double serial_ms = ms_since(start);
-      if (r == 0 || serial_ms < syn.aggregate_serial_ms) syn.aggregate_serial_ms = serial_ms;
-      start = Clock::now();
-      run(parallel_opt, parallel_result);
-      const double parallel_ms = ms_since(start);
-      if (r == 0 || parallel_ms < syn.aggregate_parallel_ms) {
-        syn.aggregate_parallel_ms = parallel_ms;
-      }
-    }
+  // Aggregate: one-shot analyze() vs 4096-event slices of the same
+  // fold over the same decoded trace. The timed repeats are
+  // interleaved, after one untimed warm-up pair, so allocator or cache
+  // drift cannot bias whichever side runs second.
+  analyzer::AnalysisResult one_shot_result = analyze_or_die(v3_bundle.trace);
+  analyzer::AnalysisResult sliced_result = ingest_sliced_or_die(v3_bundle.trace);
+  for (int r = 0; r < repeats; ++r) {
+    auto start = Clock::now();
+    one_shot_result = analyze_or_die(v3_bundle.trace);
+    const double one_shot_ms = ms_since(start);
+    if (r == 0 || one_shot_ms < syn.aggregate_ms) syn.aggregate_ms = one_shot_ms;
+    start = Clock::now();
+    sliced_result = ingest_sliced_or_die(v3_bundle.trace);
+    const double sliced_ms = ms_since(start);
+    if (r == 0 || sliced_ms < syn.aggregate_sliced_ms) syn.aggregate_sliced_ms = sliced_ms;
   }
-  syn.aggregate_identical = results_identical(serial_result, parallel_result);
+  syn.aggregate_identical = analyzer::testing::digest(one_shot_result) ==
+                            analyzer::testing::digest(sliced_result);
+  const double aggregate_events_per_s =
+      syn.aggregate_ms > 0 ? static_cast<double>(n_events) / (syn.aggregate_ms / 1e3) : 0.0;
 
   std::printf("synthetic (%zu events): v2 %.1f MB, v3 %.1f MB, v3 compressed %.1f MB (%.2fx)\n",
               n_events, static_cast<double>(syn.v2_bytes) / 1e6,
@@ -545,85 +512,26 @@ int main(int argc, char** argv) {
               "v3c per-block mmap decode", syn.v3c_block_decode_ms,
               mbs(syn.v3c_bytes, syn.v3c_block_decode_ms),
               mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
-  std::printf("  %-28s %10.1f ms  (identical: %s)\n", "aggregate (1 thread)",
-              syn.aggregate_serial_ms, syn.aggregate_identical ? "yes" : "NO");
-  std::printf("  %-28s %10.1f ms  speedup %.2fx\n\n", "aggregate (N threads)",
-              syn.aggregate_parallel_ms,
-              syn.aggregate_parallel_ms > 0 ? syn.aggregate_serial_ms / syn.aggregate_parallel_ms
-                                            : 0.0);
+  std::printf("  %-28s %10.1f ms %10.2f M events/s\n", "aggregate (one-shot)",
+              syn.aggregate_ms, aggregate_events_per_s / 1e6);
+  std::printf("  %-28s %10.1f ms  (identical: %s)\n\n", "aggregate (4096-event slices)",
+              syn.aggregate_sliced_ms, syn.aggregate_identical ? "yes" : "NO");
 
-  // --------------------------------------------------------------- apps
-  std::vector<AppRow> rows;
-  bool all_identical =
+  const bool all_identical =
       syn.aggregate_identical && syn.read_identical && syn.compressed_identical;
-  std::printf("%-14s %10s %10s %10s %8s  %s\n", "app", "events", "t1 (ms)", "tN (ms)", "speedup",
-              "identical");
-  for (const char* app : {"minife", "minimd", "lulesh", "hpcg", "cloverleaf3d"}) {
-    apps::AppOptions app_opt;
-    if (smoke) app_opt.iterations = 2;
-    const runtime::Workload w = apps::make_app(app, app_opt);
-    const auto sys = *memsim::paper_system(6);
-    profiler::Profiler prof;
-    runtime::EngineOptions eopt;
-    eopt.observer = &prof;
-    runtime::ExecutionEngine engine(&sys, eopt);
-    runtime::FixedTierMode mode(&sys, 1);
-    if (!engine.run(w, mode)) {
-      std::printf("%-14s profiling failed\n", app);
-      all_identical = false;
-      continue;
-    }
-    const trace::Trace t = prof.take_trace();
-
-    AppRow row;
-    row.app = app;
-    row.events = t.events.size();
-    analyzer::AnalysisResult app_serial;
-    row.serial_ms = best_of(repeats, [&] {
-      analyzer::AnalyzerOptions opt;
-      auto result = analyzer::analyze(t, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      app_serial = std::move(*result);
-    });
-    analyzer::AnalysisResult app_parallel;
-    row.parallel_ms = best_of(repeats, [&] {
-      analyzer::AnalyzerOptions opt;
-      opt.threads = threads;
-      auto result = analyzer::analyze(t, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      app_parallel = std::move(*result);
-    });
-    row.identical = results_identical(app_serial, app_parallel);
-    all_identical = all_identical && row.identical;
-    rows.push_back(row);
-    std::printf("%-14s %10llu %10.2f %10.2f %7.2fx  %s\n", app,
-                static_cast<unsigned long long>(row.events), row.serial_ms, row.parallel_ms,
-                row.parallel_ms > 0 ? row.serial_ms / row.parallel_ms : 0.0,
-                row.identical ? "yes" : "NO  <-- determinism violation");
-  }
 
   // ----------------------------------------------------------- verdicts
   const unsigned hw = std::thread::hardware_concurrency();
-  const double aggregate_speedup =
-      syn.aggregate_parallel_ms > 0 ? syn.aggregate_serial_ms / syn.aggregate_parallel_ms : 0.0;
   const double per_block_decode_speedup =
       syn.v2_stream_decode_ms > 0 && syn.v3_block_decode_ms > 0
           ? mbs(syn.v3_bytes, syn.v3_block_decode_ms) / mbs(syn.v2_bytes, syn.v2_stream_decode_ms)
           : 0.0;
-  // On a multi-core host the 4-thread aggregation must win outright; on a
-  // 1-core host that is physically impossible, so the bound moves to the
-  // per-block decode path the parallelism is built on. Smoke mode records
-  // the ratios but does not gate on them — a sub-second synthetic trace is
-  // dominated by per-call overheads, not steady-state throughput (the
-  // committed full-size run is what the bound certifies). Bit-identity is
-  // enforced in both modes.
-  const bool speedup_raw = hw >= 4 ? aggregate_speedup >= 2.0 : per_block_decode_speedup >= 2.0;
-  const bool speedup_ok = smoke || speedup_raw;
-  // Zero-regression bound: requesting parallel aggregation must never
-  // cost wall time — >= 0.98x serial even when thread clamping reduces
-  // it to the serial path (the 2% allows measurement noise only).
-  const bool zero_regression_raw = aggregate_speedup >= 0.98;
-  const bool zero_regression_ok = smoke || zero_regression_raw;
+  // Smoke mode records the bounds but does not gate on them (see the
+  // header); bit-identity is enforced in both modes.
+  const bool decode_speedup_raw = per_block_decode_speedup >= 2.0;
+  const bool decode_speedup_ok = smoke || decode_speedup_raw;
+  const bool aggregate_floor_raw = aggregate_events_per_s >= kAggregateFloor;
+  const bool aggregate_floor_ok = smoke || aggregate_floor_raw;
   // Compression bound: reading the compressed trace must cost at most
   // 15% more wall time than the uncompressed one.  It reads ~1.6x fewer
   // bytes, so anywhere below that the format is a strict win once real
@@ -633,15 +541,15 @@ int main(int argc, char** argv) {
   const bool compressed_raw =
       syn.v3c_read_ms > 0 && syn.v3c_read_ms <= syn.v3_read_serial_ms * 1.15;
   const bool compressed_ok = smoke || compressed_raw;
-  std::printf("\naggregate speedup %.2fx, per-block decode speedup %.2fx -> bound %s (%u cores)\n",
-              aggregate_speedup, per_block_decode_speedup,
-              speedup_raw  ? "met"
-              : speedup_ok ? "not met (informational in smoke mode)"
-                           : "VIOLATED",
+  std::printf("\nper-block decode speedup %.2fx (>= 2x): %s (%u cores)\n",
+              per_block_decode_speedup,
+              decode_speedup_raw  ? "met"
+              : decode_speedup_ok ? "not met (informational in smoke mode)"
+                                  : "VIOLATED",
               hw);
-  std::printf("zero-regression bound (parallel >= 0.98x serial): %s\n",
-              zero_regression_raw ? "met"
-              : zero_regression_ok ? "not met (informational in smoke mode)"
+  std::printf("aggregate floor (>= %.2f M events/s one-shot): %s\n", kAggregateFloor / 1e6,
+              aggregate_floor_raw  ? "met"
+              : aggregate_floor_ok ? "not met (informational in smoke mode)"
                                    : "VIOLATED");
   std::printf("compressed read bound (<= 1.15x uncompressed wall time): %s\n",
               compressed_raw  ? "met"
@@ -703,30 +611,20 @@ int main(int argc, char** argv) {
                syn.v3c_block_decode_ms, mbs(syn.v3c_bytes, syn.v3c_block_decode_ms));
   std::fprintf(out, "    \"v3_compressed_block_decode_plain_equiv_mbs\": %.1f,\n",
                mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
-  std::fprintf(out, "    \"aggregate_serial_ms\": %.3f,\n", syn.aggregate_serial_ms);
-  std::fprintf(out, "    \"aggregate_parallel_ms\": %.3f,\n", syn.aggregate_parallel_ms);
-  std::fprintf(out, "    \"aggregate_speedup\": %.3f,\n", aggregate_speedup);
+  std::fprintf(out, "    \"aggregate_ms\": %.3f,\n", syn.aggregate_ms);
+  std::fprintf(out, "    \"aggregate_sliced_ms\": %.3f,\n", syn.aggregate_sliced_ms);
+  std::fprintf(out, "    \"aggregate_events_per_s\": %.0f,\n", aggregate_events_per_s);
   std::fprintf(out, "    \"per_block_decode_speedup\": %.3f,\n", per_block_decode_speedup);
   std::fprintf(out, "    \"compressed_identical\": %s,\n",
                syn.compressed_identical ? "true" : "false");
   std::fprintf(out, "    \"identical\": %s\n", syn.aggregate_identical ? "true" : "false");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"speedup_bound_enforced\": %s,\n", smoke ? "false" : "true");
-  std::fprintf(out, "  \"speedup_bound_met\": %s,\n", speedup_ok ? "true" : "false");
-  std::fprintf(out, "  \"zero_regression_bound_met\": %s,\n",
-               zero_regression_ok ? "true" : "false");
-  std::fprintf(out, "  \"compressed_read_bound_met\": %s,\n", compressed_ok ? "true" : "false");
-  std::fprintf(out, "  \"apps\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AppRow& r = rows[i];
-    std::fprintf(out,
-                 "    {\"app\": \"%s\", \"events\": %llu, \"serial_ms\": %.3f, "
-                 "\"parallel_ms\": %.3f, \"aggregate_speedup\": %.3f, \"identical\": %s}%s\n",
-                 r.app.c_str(), static_cast<unsigned long long>(r.events), r.serial_ms,
-                 r.parallel_ms, r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0,
-                 r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "  \"bounds_enforced\": %s,\n", smoke ? "false" : "true");
+  std::fprintf(out, "  \"decode_speedup_bound_met\": %s,\n", decode_speedup_ok ? "true" : "false");
+  std::fprintf(out, "  \"aggregate_floor_events_per_s\": %.0f,\n", kAggregateFloor);
+  std::fprintf(out, "  \"aggregate_floor_met\": %s,\n", aggregate_floor_ok ? "true" : "false");
+  std::fprintf(out, "  \"compressed_read_bound_met\": %s\n", compressed_ok ? "true" : "false");
+  std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -734,5 +632,5 @@ int main(int argc, char** argv) {
   std::remove(v3_path.c_str());
   std::remove(v3c_path.c_str());
   std::remove(salvage_path.c_str());
-  return all_identical && speedup_ok && zero_regression_ok && compressed_ok ? 0 : 1;
+  return all_identical && decode_speedup_ok && aggregate_floor_ok && compressed_ok ? 0 : 1;
 }

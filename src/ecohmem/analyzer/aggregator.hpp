@@ -3,20 +3,19 @@
 /// \file aggregator.hpp
 /// The Paramedir role: turn a raw trace into per-site records.
 ///
-/// Steps:
 ///  1. Replay allocation/free events to build live address intervals and
 ///     per-site counts/footprints/lifetime windows.
 ///  2. Attribute each PEBS sample to the object live at its data linear
 ///     address (and to the enclosing function for Table VII).
-///  3. Reconstruct the system bandwidth timeline from sample weights and
-///     derive each site's allocation-time and execution-time bandwidth
-///     regions (Table II inputs for the bandwidth-aware algorithm).
+///  3. Reconstruct the system bandwidth timeline (uncore readings, or
+///     sample weights when the trace has none) and derive each site's
+///     allocation-time and execution-time bandwidth regions (Table II
+///     inputs for the bandwidth-aware algorithm).
 ///
-/// With `AnalyzerOptions.threads > 1` the sample-attribution and
-/// accumulation phases fan out across a worker pool; the alloc/free
-/// replay and the bandwidth timeline stay serial (they are
-/// order-dependent), and the output is bit-identical to the serial
-/// path for every thread count.
+/// `analyze()` runs the one analyzer fold, `IncrementalAggregator`
+/// (incremental.hpp), over a whole trace: ecohmem-advisor, ecohmem-lint
+/// and the serving layer all produce their analyses with the same code.
+/// The analysis is single-threaded.
 
 #include <vector>
 
@@ -38,20 +37,6 @@ struct AnalyzerOptions {
   /// Window around each allocation used for the allocation-time
   /// bandwidth signal.
   Ns alloc_window_ns = 50'000'000;  // 50 ms
-
-  /// Worker threads for the sample-attribution and accumulation phases.
-  /// The result is bit-identical for every thread count (per-call-stack
-  /// key sharding keeps each FP fold in serial stream order; see
-  /// docs/threading.md). 1 = fully serial, no pool spawned.
-  int threads = 1;
-
-  /// Clamp `threads` to the hardware concurrency before spawning the
-  /// pool. Because the output is thread-count invariant, shedding
-  /// oversubscription (which multiplies the key-sharded stream scans
-  /// without adding cores) cannot change any result bit — it only
-  /// removes the slowdown. Tests disable this to exercise the
-  /// multi-shard merge on any host.
-  bool clamp_threads = true;
 
   /// Trace coverage as reported by the loader (TraceBundle::coverage).
   /// Left empty, the analyzer assumes the events it sees are the whole
@@ -77,8 +62,10 @@ struct AnalysisResult {
   trace::TraceCoverage coverage;
 };
 
-/// Aggregates `trace` into per-site records. Fails on malformed traces
-/// (free of unknown object, unordered events beyond tolerance).
+/// Aggregates `trace` into per-site records: `IncrementalAggregator`
+/// over the trace's tables, one `ingest()` of every event, `finalize()`
+/// with `options.coverage`. Fails on malformed traces (alloc with an
+/// invalid stack id, free of an unknown object, double free).
 [[nodiscard]] Expected<AnalysisResult> analyze(const trace::Trace& trace,
                                                const AnalyzerOptions& options = {});
 

@@ -1,49 +1,47 @@
 #pragma once
 
 /// \file incremental.hpp
-/// Incremental (block-at-a-time) trace aggregation for the serving
-/// layer.
+/// The analyzer's one fold: trace events in, per-site records out,
+/// slice by slice.
 ///
-/// `analyze()` wants the whole event stream in memory; a long-lived
-/// advisor daemon gets the stream in v3-block-sized slices and must
-/// answer placement queries between slices. `IncrementalAggregator`
-/// folds each slice as it arrives and can produce, at any point, an
-/// `AnalysisResult` that is **bit-identical** to running `analyze()`
-/// over the concatenation of every event ingested so far (the contract
-/// `tests/serve/test_session.cpp` pins down for many block sizes).
+/// `IncrementalAggregator` folds a time-ordered event stream in slices
+/// of any size and can produce, at any point, the `AnalysisResult` of
+/// every event ingested so far. `analyze()` (aggregator.hpp) is this
+/// fold over a whole trace in one slice, and the serving layer feeds it
+/// v3-block-sized slices between placement queries — so the result is
+/// **bit-identical** for every way of cutting the stream into slices
+/// (tests/serve/test_serve_session.cpp, pinned against golden digests
+/// by tests/analyzer/test_analysis_golden.cpp).
 ///
-/// The trick is isolating the order-sensitive floating-point folds:
+/// Slicing cannot change a result because every order-sensitive
+/// floating-point fold runs in stream order, whatever the slice cuts:
 ///
 ///  * Two bandwidth meters run side by side — one folding uncore
-///    readings, one folding the PEBS-sample fallback. `analyze()`
-///    prescans the whole trace for uncore events before choosing a
-///    signal; the incremental path cannot look ahead, so it maintains
-///    both fold sequences and picks at finalize time. Whichever meter
-///    is chosen saw exactly the serial fold order.
-///  * Per-allocation bandwidth (`alloc_bw_sum`) reads the meter over a
-///    window that may include *future* traffic, so those folds are
-///    deferred: ingestion records (site, window-start) pairs in stream
-///    order and finalize replays them against the finished meter —
-///    the same per-site addition sequence `analyze()` produces.
-///  * Everything else — live-map replay, sample attribution against
-///    the live map, per-site/per-function weight folds — is already
-///    processed in stream order, which is precisely the per-key order
-///    the offline key-sharded phases reproduce.
+///    readings, one folding the PEBS-sample fallback. Uncore readings
+///    are authoritative whenever the stream has any, which a prefix
+///    cannot know in advance, so the sample fold runs until the first
+///    uncore reading (after which it can never be chosen) and the
+///    choice is made at finalize time.
+///  * Per-allocation bandwidth (`alloc_time_system_bw_gbs`) reads the
+///    meter over a window that may include *future* traffic, so those
+///    folds are deferred: ingestion records (site, window start) pairs
+///    in allocation order and finalize replays them against the
+///    finished meter.
+///  * Everything else — the alloc/free replay of the live set, sample
+///    attribution against it, per-site and per-function weight folds —
+///    happens as each event arrives.
 ///
 /// Not thread-safe: the serving layer serializes access through the
 /// session store lock (docs/threading.md). `finalize()` is const and
 /// non-destructive, so ingestion can continue after a snapshot.
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "ecohmem/analyzer/accum.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/common/expected.hpp"
-#include "ecohmem/memsim/bandwidth_meter.hpp"
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 
@@ -51,7 +49,7 @@ namespace ecohmem::analyzer {
 
 /// Folds a time-ordered event stream into analyzer state, slice by
 /// slice. Construct with the trace's header tables (the caller keeps
-/// them alive — the serving session owns both), `ingest()` each block,
+/// them alive — the serving session owns both), `ingest()` each slice,
 /// `finalize()` whenever a consistent `AnalysisResult` is needed.
 class IncrementalAggregator {
  public:
@@ -59,11 +57,12 @@ class IncrementalAggregator {
   /// into; both must outlive the aggregator.
   IncrementalAggregator(const trace::StackTable& stacks, const trace::FunctionTable& functions,
                         AnalyzerOptions options = {});
+  ~IncrementalAggregator();
 
   /// Folds the next slice of the event stream, continuing where the
-  /// previous call stopped. Fails on the same malformed streams
-  /// `analyze()` rejects (invalid alloc stack, unknown/double free);
-  /// a failure is sticky — the aggregator is poisoned and every later
+  /// previous call stopped. Fails on malformed streams (alloc with an
+  /// invalid stack id, free of an unknown object, double free); a
+  /// failure is sticky — the aggregator is poisoned and every later
   /// `ingest()`/`finalize()` reports the first error.
   Status ingest(const trace::Event* events, std::size_t count);
 
@@ -73,48 +72,20 @@ class IncrementalAggregator {
   }
 
   /// Events folded so far (across all `ingest()` calls).
-  [[nodiscard]] std::uint64_t events_ingested() const { return n_events_; }
+  [[nodiscard]] std::uint64_t events_ingested() const;
 
   /// First ingest error, empty while healthy.
-  [[nodiscard]] const std::string& error() const { return error_; }
+  [[nodiscard]] const std::string& error() const;
 
-  /// Produces the analysis of everything ingested so far, bit-identical
-  /// to `analyze()` over the same prefix. Non-destructive: operates on
-  /// copies of the accumulators, so ingestion may continue afterwards.
-  /// `coverage` stamps the result like `AnalyzerOptions::coverage` does
-  /// offline (empty = the ingested events are the whole trace).
+  /// Produces the analysis of everything ingested so far. Non-destructive:
+  /// operates on copies of the accumulators, so ingestion may continue
+  /// afterwards. `coverage` stamps the result (empty = the ingested
+  /// events are the whole trace).
   [[nodiscard]] Expected<AnalysisResult> finalize(trace::TraceCoverage coverage = {}) const;
 
  private:
-  /// One live allocation, keyed by start address in `live_`.
-  struct LiveObject {
-    Bytes size = 0;
-    trace::StackId stack = trace::kInvalidStack;
-    Ns alloc_time = 0;
-  };
-
-  const trace::StackTable* stacks_;
-  const trace::FunctionTable* functions_;
-  AnalyzerOptions options_;
-
-  memsim::BandwidthMeter uncore_meter_;  ///< fold of uncore readings only
-  memsim::BandwidthMeter sample_meter_;  ///< fold of the sample fallback only
-  bool has_uncore_ = false;
-
-  std::uint64_t n_events_ = 0;
-  Ns last_time_ = 0;
-  double unattributed_ = 0.0;
-  std::string error_;  ///< sticky first failure
-
-  std::map<std::uint64_t, LiveObject> live_;  ///< start address -> object
-  std::unordered_map<std::uint64_t, std::uint64_t> object_address_;  ///< id -> addr
-  std::unordered_map<trace::StackId, detail::SiteAccum> sites_;
-  std::map<std::uint32_t, detail::FunctionAccum> functions_accum_;
-
-  /// Deferred alloc-window bandwidth folds: (site, window start) in
-  /// allocation order. Grows with the allocation count, not the event
-  /// count.
-  std::vector<std::pair<trace::StackId, Ns>> alloc_bw_pending_;
+  struct State;  ///< accumulators, live set and meters (incremental.cpp)
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace ecohmem::analyzer

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file worker_pool.hpp
-/// A small fork-join worker pool for parallel trace decode and the
-/// analyzer's parallel aggregation.
+/// A small fork-join worker pool for parallel v3 trace decode
+/// (`trace::TraceReader::read_all`).
 ///
-/// Those callers alternate between fan-out phases and serial phases, so
+/// Its callers alternate between fan-out phases and serial phases, so
 /// the pool offers exactly one primitive: `run(fn)` executes
 /// `fn(worker_index)` on every worker and returns when all of them have
 /// finished. Workers are long-lived — one spawn per pool, not per phase.
@@ -12,8 +12,8 @@
 /// Thread safety: `run` must be called from one coordinating thread at a
 /// time. The pool uses a ranked mutex + condition variables only for
 /// phase hand-off (lock-rank table: docs/threading.md); work
-/// partitioning inside `fn` is the caller's job (the callers shard by
-/// block index or site key).
+/// partitioning inside `fn` is the caller's job (the decoder shards by
+/// block index).
 ///
 /// Exceptions: a task that throws on a worker does not crash or deadlock
 /// the pool. The first exception (by worker completion order) is

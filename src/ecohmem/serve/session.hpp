@@ -50,8 +50,8 @@
 namespace ecohmem::serve {
 
 struct SessionOptions {
-  /// Analyzer knobs for the session store (threads is ignored — the
-  /// incremental path folds on the applier thread).
+  /// Analyzer knobs for the session store; the fold runs on the
+  /// applier thread.
   analyzer::AnalyzerOptions analyzer;
 
   /// Ingest queue bound: blocks accepted but not yet applied. A full

@@ -1,6 +1,6 @@
 // Feature extraction determinism (docs/learned.md): the matrix must be
-// bitwise identical across repeated extractions and across analyzer
-// thread counts, and the schema hash must pin the column set so model
+// bitwise identical across repeated extractions and across freshly
+// captured traces of the same app, and the schema hash must pin the column set so model
 // files can reject a schema drift.
 
 #include <gtest/gtest.h>
@@ -10,11 +10,8 @@
 #include <cstring>
 #include <set>
 
-#include "ecohmem/apps/apps.hpp"
+#include "../analyzer/analysis_digest.hpp"
 #include "ecohmem/learn/features.hpp"
-#include "ecohmem/memsim/tier.hpp"
-#include "ecohmem/profiler/profiler.hpp"
-#include "ecohmem/runtime/engine.hpp"
 
 namespace ecohmem::learn {
 namespace {
@@ -38,24 +35,6 @@ void expect_identical(const FeatureMatrix& a, const FeatureMatrix& b) {
   }
 }
 
-/// Profiles `app` through the execution engine (the ecohmem-profile path).
-trace::Trace capture(const std::string& app) {
-  apps::AppOptions opt;
-  opt.iterations = 2;
-  const runtime::Workload workload = apps::make_app(app, opt);
-  const auto sys = memsim::paper_system(6);
-  EXPECT_TRUE(sys.has_value());
-
-  profiler::Profiler prof;
-  runtime::EngineOptions eopt;
-  eopt.observer = &prof;
-  runtime::ExecutionEngine engine(&*sys, eopt);
-  runtime::FixedTierMode mode(&*sys, 1);
-  const auto metrics = engine.run(workload, mode);
-  EXPECT_TRUE(metrics.has_value());
-  return prof.take_trace();
-}
-
 TEST(FeatureSchema, NamesAreUniqueAndMatchCount) {
   const auto& names = feature_names();
   ASSERT_EQ(names.size(), kFeatureCount);
@@ -73,7 +52,7 @@ TEST(FeatureSchema, HashIsPinned) {
 }
 
 TEST(FeatureExtraction, RowsAlignWithSitesAndAreFinite) {
-  const trace::Trace t = capture("minife");
+  const trace::Trace t = analyzer::testing::profile_app("minife");
   const auto analysis = analyzer::analyze(t, {});
   ASSERT_TRUE(analysis.has_value()) << analysis.error();
 
@@ -89,33 +68,17 @@ TEST(FeatureExtraction, RowsAlignWithSitesAndAreFinite) {
 }
 
 TEST(FeatureExtraction, BitwiseDeterministicAcrossRuns) {
-  const trace::Trace t = capture("minife");
+  const trace::Trace t = analyzer::testing::profile_app("minife");
   const auto analysis = analyzer::analyze(t, {});
   ASSERT_TRUE(analysis.has_value()) << analysis.error();
   expect_identical(extract_features(*analysis), extract_features(*analysis));
 
   // A freshly captured trace of the same app must extract identically
   // too (the whole pipeline is deterministic, not just the extractor).
-  const trace::Trace t2 = capture("minife");
+  const trace::Trace t2 = analyzer::testing::profile_app("minife");
   const auto analysis2 = analyzer::analyze(t2, {});
   ASSERT_TRUE(analysis2.has_value()) << analysis2.error();
   expect_identical(extract_features(*analysis), extract_features(*analysis2));
-}
-
-TEST(FeatureExtraction, BitwiseDeterministicAcrossAnalyzerThreadCounts) {
-  const trace::Trace t = capture("lulesh");
-  const auto serial = analyzer::analyze(t, {});
-  ASSERT_TRUE(serial.has_value()) << serial.error();
-  const FeatureMatrix base = extract_features(*serial);
-
-  for (const int threads : {2, 3, 4, 8}) {
-    analyzer::AnalyzerOptions opt;
-    opt.threads = threads;
-    const auto parallel = analyzer::analyze(t, opt);
-    ASSERT_TRUE(parallel.has_value()) << "threads=" << threads << ": " << parallel.error();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(base, extract_features(*parallel));
-  }
 }
 
 }  // namespace

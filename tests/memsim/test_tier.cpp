@@ -126,24 +126,6 @@ TEST(MemorySystem, SortsByPerformanceRank) {
   EXPECT_EQ(sys->tier(0).name(), "dram");
 }
 
-/// Property sweep: for every tier spec, latency at the reference
-/// utilization equals the configured loaded latency.
-class TierParamTest : public ::testing::TestWithParam<TierSpec> {};
-
-TEST_P(TierParamTest, LoadedLatencyAnchoredAtReferenceUtilization) {
-  MemoryTier tier(GetParam());
-  EXPECT_NEAR(tier.read_latency_ns(kReferenceUtilization), GetParam().loaded_read_ns, 1e-9);
-  EXPECT_NEAR(tier.write_latency_ns(kReferenceUtilization), GetParam().loaded_write_ns, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest,
-                         ::testing::Values(ddr4_dram_spec(), optane_pmem_spec(6),
-                                           optane_pmem_spec(2), hbm2_spec()),
-                         [](const auto& param_info) {
-                           return param_info.param.name + "_" +
-                                  std::to_string(param_info.param.capacity >> 30);
-                         });
-
 /// A tier spec with a printable label. gtest prints a bare TierSpec as raw
 /// bytes, which include the heap address of its name string, so the listed
 /// test name would change from run to run; this prints the label instead.
@@ -158,6 +140,23 @@ LabeledTier labeled(TierSpec spec) {
   std::string label = spec.name + "_" + std::to_string(spec.capacity >> 30);
   return {std::move(spec), std::move(label)};
 }
+
+/// Property sweep: for every tier spec, latency at the reference
+/// utilization equals the configured loaded latency.
+class TierParamTest : public ::testing::TestWithParam<LabeledTier> {};
+
+TEST_P(TierParamTest, LoadedLatencyAnchoredAtReferenceUtilization) {
+  const TierSpec& spec = GetParam().spec;
+  MemoryTier tier(spec);
+  EXPECT_NEAR(tier.read_latency_ns(kReferenceUtilization), spec.loaded_read_ns, 1e-9);
+  EXPECT_NEAR(tier.write_latency_ns(kReferenceUtilization), spec.loaded_write_ns, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest,
+                         ::testing::Values(labeled(ddr4_dram_spec()),
+                                           labeled(optane_pmem_spec(6)),
+                                           labeled(optane_pmem_spec(2)), labeled(hbm2_spec())),
+                         [](const auto& param_info) { return param_info.param.label; });
 
 /// Property sweep: for every tier spec, latency at full utilization exceeds
 /// the loaded latency but stays finite.

@@ -1,6 +1,7 @@
 // Session-store contracts of the ecohmem-serve daemon:
-//  - the incremental aggregator is bit-identical to the offline
-//    analyze() for every bundled app and any block partitioning,
+//  - the analyzer fold gives the same analysis for every way of
+//    cutting the event stream into ingest slices (and, through the
+//    golden digest, the analysis pinned by test_analysis_golden.cpp),
 //  - Session snapshots are epoch-consistent and cached,
 //  - dropped blocks degrade coverage (salvage semantics) while
 //    semantic errors poison the session stickily,
@@ -16,99 +17,25 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "../analyzer/analysis_digest.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/analyzer/incremental.hpp"
-#include "ecohmem/apps/apps.hpp"
-#include "ecohmem/memsim/tier.hpp"
-#include "ecohmem/profiler/profiler.hpp"
-#include "ecohmem/runtime/engine.hpp"
 #include "ecohmem/serve/session.hpp"
 
 namespace ecohmem::serve {
 namespace {
 
-void expect_bits(double a, double b, const char* what) {
-  std::uint64_t ua = 0;
-  std::uint64_t ub = 0;
-  std::memcpy(&ua, &a, 8);
-  std::memcpy(&ub, &b, 8);
-  EXPECT_EQ(ua, ub) << what << ": " << a << " vs " << b;
-}
+using analyzer::testing::profile_app;
 
 /// The full bit-identity contract of docs/serving.md
-/// §snapshot-consistency: every double compared by bit pattern.
+/// §snapshot-consistency: every field, every double by bit pattern.
 void expect_identical(const analyzer::AnalysisResult& offline,
                       const analyzer::AnalysisResult& served) {
-  ASSERT_EQ(offline.sites.size(), served.sites.size());
-  for (std::size_t i = 0; i < offline.sites.size(); ++i) {
-    const analyzer::SiteRecord& a = offline.sites[i];
-    const analyzer::SiteRecord& b = served.sites[i];
-    EXPECT_EQ(a.stack, b.stack) << "site " << i;
-    EXPECT_EQ(a.callstack, b.callstack) << "site " << i;
-    EXPECT_EQ(a.max_size, b.max_size) << "site " << i;
-    EXPECT_EQ(a.peak_live_bytes, b.peak_live_bytes) << "site " << i;
-    EXPECT_EQ(a.alloc_count, b.alloc_count) << "site " << i;
-    expect_bits(a.load_misses, b.load_misses, "load_misses");
-    expect_bits(a.store_misses, b.store_misses, "store_misses");
-    expect_bits(a.avg_load_latency_ns, b.avg_load_latency_ns, "avg_load_latency_ns");
-    EXPECT_EQ(a.first_alloc, b.first_alloc) << "site " << i;
-    EXPECT_EQ(a.last_free, b.last_free) << "site " << i;
-    expect_bits(a.total_lifetime_ns, b.total_lifetime_ns, "total_lifetime_ns");
-    expect_bits(a.mean_lifetime_ns, b.mean_lifetime_ns, "mean_lifetime_ns");
-    expect_bits(a.exec_bw_gbs, b.exec_bw_gbs, "exec_bw_gbs");
-    expect_bits(a.alloc_time_system_bw_gbs, b.alloc_time_system_bw_gbs,
-                "alloc_time_system_bw_gbs");
-    expect_bits(a.exec_time_system_bw_gbs, b.exec_time_system_bw_gbs,
-                "exec_time_system_bw_gbs");
-    EXPECT_EQ(a.has_writes, b.has_writes) << "site " << i;
-    ASSERT_EQ(a.windows.size(), b.windows.size()) << "site " << i;
-    for (std::size_t w = 0; w < a.windows.size(); ++w) {
-      EXPECT_EQ(a.windows[w].start, b.windows[w].start) << "site " << i << " window " << w;
-      EXPECT_EQ(a.windows[w].end, b.windows[w].end) << "site " << i << " window " << w;
-    }
-  }
-
-  ASSERT_EQ(offline.system_bw.size(), served.system_bw.size());
-  for (std::size_t i = 0; i < offline.system_bw.size(); ++i) {
-    EXPECT_EQ(offline.system_bw[i].time, served.system_bw[i].time) << "bw point " << i;
-    expect_bits(offline.system_bw[i].gbs, served.system_bw[i].gbs, "system_bw");
-  }
-  expect_bits(offline.observed_peak_bw_gbs, served.observed_peak_bw_gbs, "observed_peak");
-
-  ASSERT_EQ(offline.functions.size(), served.functions.size());
-  for (std::size_t i = 0; i < offline.functions.size(); ++i) {
-    EXPECT_EQ(offline.functions[i].name, served.functions[i].name) << "function " << i;
-    expect_bits(offline.functions[i].load_samples, served.functions[i].load_samples,
-                "load_samples");
-    expect_bits(offline.functions[i].avg_load_latency_ns,
-                served.functions[i].avg_load_latency_ns, "function latency");
-  }
-
-  EXPECT_EQ(offline.trace_end, served.trace_end);
-  expect_bits(offline.unattributed_samples, served.unattributed_samples, "unattributed");
-}
-
-/// Profiles `app` through the execution engine (the ecohmem-profile
-/// path) so the trace carries real alloc/free/sample/uncore streams.
-trace::Trace profile_app(const std::string& app) {
-  apps::AppOptions opt;
-  opt.iterations = 2;
-  const runtime::Workload workload = apps::make_app(app, opt);
-  const auto sys = memsim::paper_system(6);
-  EXPECT_TRUE(sys.has_value()) << sys.error();
-  profiler::Profiler prof;
-  runtime::EngineOptions eopt;
-  eopt.observer = &prof;
-  runtime::ExecutionEngine engine(&*sys, eopt);
-  runtime::FixedTierMode mode(&*sys, 1);
-  const auto metrics = engine.run(workload, mode);
-  EXPECT_TRUE(metrics.has_value()) << metrics.error();
-  return prof.take_trace();
+  EXPECT_EQ(analyzer::testing::digest(offline), analyzer::testing::digest(served));
 }
 
 trace::codec::HeaderInfo header_of(const trace::Trace& t) {
@@ -131,30 +58,102 @@ std::vector<std::vector<trace::Event>> partition(const std::vector<trace::Event>
   return blocks;
 }
 
-void check_incremental_identity(const std::string& app) {
-  const trace::Trace t = profile_app(app);
+/// Ingests `t` in slices of `block_events` and finalizes.
+Expected<analyzer::AnalysisResult> ingest_sliced(const trace::Trace& t,
+                                                 std::size_t block_events) {
+  analyzer::IncrementalAggregator inc(t.stacks, t.functions);
+  for (const auto& block : partition(t.events, block_events)) {
+    if (const auto s = inc.ingest(block); !s.ok()) return unexpected(s.error());
+  }
+  return inc.finalize();
+}
+
+void check_incremental_identity(const trace::Trace& t) {
   ASSERT_FALSE(t.events.empty());
   const auto offline = analyzer::analyze(t);
   ASSERT_TRUE(offline.has_value()) << offline.error();
 
   for (const std::size_t block_events : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    analyzer::IncrementalAggregator inc(t.stacks, t.functions);
-    for (const auto& block : partition(t.events, block_events)) {
-      const auto s = inc.ingest(block);
-      ASSERT_TRUE(s.ok()) << s.error();
-    }
-    const auto served = inc.finalize();
+    const auto served = ingest_sliced(t, block_events);
     ASSERT_TRUE(served.has_value()) << served.error();
-    SCOPED_TRACE(app + " block_events=" + std::to_string(block_events));
+    SCOPED_TRACE("block_events=" + std::to_string(block_events));
     expect_identical(*offline, *served);
   }
 }
 
-TEST(ServeIncremental, HpcgIdenticalToOffline) { check_incremental_identity("hpcg"); }
+TEST(ServeIncremental, HpcgIdenticalToOffline) { check_incremental_identity(profile_app("hpcg")); }
 TEST(ServeIncremental, PhaseShiftIdenticalToOffline) {
-  check_incremental_identity("phase-shift");
+  check_incremental_identity(profile_app("phase-shift"));
 }
-TEST(ServeIncremental, MiniFeIdenticalToOffline) { check_incremental_identity("minife"); }
+TEST(ServeIncremental, MiniFeIdenticalToOffline) {
+  check_incremental_identity(profile_app("minife"));
+}
+TEST(ServeIncremental, SyntheticLiveSetIdenticalAcrossSlices) {
+  // Thousands of live objects freed in random order, with and without
+  // uncore readings: slices cut the live set's chunk splits and merges
+  // at arbitrary points.
+  check_incremental_identity(analyzer::testing::synthetic_trace(60'000, 3, true));
+  check_incremental_identity(analyzer::testing::synthetic_trace(60'000, 3, false));
+}
+
+TEST(ServeIncremental, HandBuiltTraceMatchesGoldenDigestPerSlice) {
+  // Address reuse while live, overlapping objects, out-of-table and
+  // store-only functions, and the sample-fallback bandwidth meter.
+  const trace::Trace t = analyzer::testing::hand_built_trace();
+  for (const std::size_t block_events : {std::size_t{1}, std::size_t{2}, t.events.size()}) {
+    const auto served = ingest_sliced(t, block_events);
+    ASSERT_TRUE(served.has_value()) << served.error();
+    SCOPED_TRACE("block_events=" + std::to_string(block_events));
+    EXPECT_EQ(analyzer::testing::digest(*served), analyzer::testing::kHandBuiltDigest);
+    ASSERT_EQ(served->functions.size(), 4u);
+    EXPECT_EQ(served->functions[3].name, "store_only");
+  }
+}
+
+TEST(ServeIncremental, OutOfTableFunctionIdsSurviveTheArenaMerge) {
+  // Samples naming function ids past the function table land in the
+  // ordered overflow map beside the per-id arena; a store-only sample
+  // still materializes its function's entry with zero load samples.
+  trace::Trace t;
+  const trace::StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  const std::uint32_t fn = t.functions.intern("known");
+  t.events.emplace_back(trace::AllocEvent{1, 1, 0x1000, 4096, s, trace::AllocKind::kMalloc});
+  t.events.emplace_back(trace::SampleEvent{2, 0x1004, 2.0, 120.0, false, fn});
+  t.events.emplace_back(trace::SampleEvent{3, 0x1008, 1.5, 90.0, false, /*fn=*/7777});
+  t.events.emplace_back(trace::SampleEvent{4, 0x100c, 1.0, 0.0, true, /*fn=*/8888});
+  t.events.emplace_back(trace::FreeEvent{5, 1});
+
+  const auto offline = analyzer::analyze(t);
+  ASSERT_TRUE(offline.has_value()) << offline.error();
+  ASSERT_EQ(offline->functions.size(), 3u);
+  EXPECT_EQ(offline->functions[0].name, "?");
+  EXPECT_EQ(offline->functions[0].load_samples, 1.5);
+  EXPECT_EQ(offline->functions[1].name, "?");
+  EXPECT_EQ(offline->functions[1].load_samples, 0.0);
+  EXPECT_EQ(offline->functions[2].name, "known");
+  for (const std::size_t block_events : {std::size_t{1}, std::size_t{2}}) {
+    const auto served = ingest_sliced(t, block_events);
+    ASSERT_TRUE(served.has_value()) << served.error();
+    SCOPED_TRACE("block_events=" + std::to_string(block_events));
+    expect_identical(*offline, *served);
+  }
+}
+
+TEST(ServeIncremental, MalformedTraceFailsIdenticallyAcrossSlices) {
+  // A double free fails with the same error text whether the stream
+  // arrives in one slice or one event at a time.
+  trace::Trace t;
+  const trace::StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  t.events.emplace_back(trace::AllocEvent{1, 7, 0x1000, 64, s, trace::AllocKind::kMalloc});
+  t.events.emplace_back(trace::FreeEvent{2, 7});
+  t.events.emplace_back(trace::FreeEvent{3, 7});
+
+  const auto one_shot = analyzer::analyze(t);
+  ASSERT_FALSE(one_shot.has_value());
+  const auto sliced = ingest_sliced(t, 1);
+  ASSERT_FALSE(sliced.has_value());
+  EXPECT_EQ(one_shot.error(), sliced.error());
+}
 
 TEST(ServeIncremental, FinalizeIsRepeatable) {
   // finalize() is const: a mid-stream snapshot then more ingest then a

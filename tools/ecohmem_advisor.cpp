@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
         "                       [--peak-pmem-bw GBS] [--dump-sites] [--csv <file>]\n"
         "                       [--threads N] [--salvage] [--min-coverage F]\n"
         "                       [--policy greedy|learned] [--model <model.ehm>]\n"
-        "  --threads N decodes v3 trace blocks and aggregates samples on N\n"
-        "  workers; the analysis is bit-identical to --threads 1.\n"
+        "  --threads N decodes v3 trace blocks on N workers (the analysis\n"
+        "  itself is serial); the output is identical to --threads 1.\n"
         "  --salvage recovers what it can from a corrupt/truncated trace and\n"
         "  fails only when coverage drops below --min-coverage (default 0.9).\n"
         "  --policy learned ranks sites with a trained model (ecohmem-train)\n"
@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   }
 
   analyzer::AnalyzerOptions aopt;
-  aopt.threads = static_cast<int>(*threads);
   aopt.coverage = bundle->coverage;
   const auto analysis = analyzer::analyze(bundle->trace, aopt);
   if (!analysis) return cli::fail(analysis.error());
