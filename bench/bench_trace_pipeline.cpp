@@ -5,9 +5,14 @@
 //
 // Aggregation runs the one analyzer fold two ways: one-shot analyze()
 // over the decoded trace, and ingest in 4096-event slices followed by
-// finalize (the serving layer's path). Identity contract: the two must
-// give bit-identical analyses ("identical": true; compared by the
-// golden-test digest), and the compressed
+// finalize (the serving layer's path). The one-shot fold times its
+// ingest and its finalize apart. A second, long-span synthetic trace
+// (the same generator with its time step stretched so that the trace
+// covers >= 3000 bandwidth bins) makes finalize's per-window bandwidth
+// averages visible; its ingest/finalize split is informational, with
+// no bound. Identity contract: one-shot and sliced folds must give
+// bit-identical analyses, on both traces ("identical": true; compared
+// by the golden-test digest), and the compressed
 // trace must decode to events bit-identical to the uncompressed one;
 // any violation exits nonzero in every mode.
 //
@@ -57,9 +62,10 @@ double mbs(std::uint64_t bytes, double ms) {
 /// Deterministic synthetic event stream (allocs/frees/samples/uncore),
 /// delivered through a callback so the 10M-event write never materializes
 /// an event vector.
+/// `time_scale` stretches every time step, and so the trace's span.
 template <typename Sink>
 void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::StackId s1,
-                  std::uint32_t fn, Sink&& sink) {
+                  std::uint32_t fn, Ns time_scale, Sink&& sink) {
   std::uint64_t x = seed * 2654435761ull + 1;
   const auto rnd = [&x] {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
@@ -70,7 +76,7 @@ void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::S
   std::uint64_t next_addr = 0x100000;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
   for (std::size_t i = 0; i < n; ++i) {
-    time += rnd() % 50;
+    time += (rnd() % 50) * time_scale;
     switch (rnd() % 8) {
       case 0:
       case 1: {
@@ -121,6 +127,10 @@ constexpr std::size_t kSliceEvents = 4096;
 /// sits below both, so only a fall well under the old speed trips it.
 constexpr double kAggregateFloor = 800e3;
 
+/// Bandwidth bins the long-span trace must cover (the analyzer's
+/// default 10 ms bins), so that its live windows span thousands of them.
+constexpr std::size_t kLongSpanBins = 3000;
+
 analyzer::AnalysisResult analyze_or_die(const trace::Trace& t) {
   auto result = analyzer::analyze(t);
   if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
@@ -136,6 +146,33 @@ analyzer::AnalysisResult ingest_sliced_or_die(const trace::Trace& t) {
     }
   }
   auto result = inc.finalize();
+  if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
+  return std::move(*result);
+}
+
+/// Best-of ingest and finalize times of a one-shot fold.
+struct FoldSplit {
+  double ingest_ms = 0.0;
+  double finalize_ms = 0.0;
+
+  void keep_best(const FoldSplit& run, bool first) {
+    if (first || run.ingest_ms < ingest_ms) ingest_ms = run.ingest_ms;
+    if (first || run.finalize_ms < finalize_ms) finalize_ms = run.finalize_ms;
+  }
+};
+
+/// One-shot fold of `t` — one ingest of every event, then finalize,
+/// which is what analyze() does — with the two steps timed apart.
+analyzer::AnalysisResult fold_timed(const trace::Trace& t, FoldSplit& split) {
+  auto start = Clock::now();
+  analyzer::IncrementalAggregator inc(t.stacks, t.functions);
+  if (const auto s = inc.ingest(t.events); !s.ok()) {
+    std::exit((std::fprintf(stderr, "error: %s\n", s.error().c_str()), 1));
+  }
+  split.ingest_ms = ms_since(start);
+  start = Clock::now();
+  auto result = inc.finalize();
+  split.finalize_ms = ms_since(start);
   if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
   return std::move(*result);
 }
@@ -164,9 +201,18 @@ struct SyntheticStats {
   std::uint64_t salvage_recovered = 0, salvage_declared = 0;
   double v2_stream_decode_ms = 0, v3_block_decode_ms = 0, v3c_block_decode_ms = 0;
   double aggregate_ms = 0, aggregate_sliced_ms = 0;
+  FoldSplit fold;
   bool aggregate_identical = false;
   bool read_identical = false;
   bool compressed_identical = false;
+};
+
+struct LongSpanStats {
+  std::uint64_t events = 0;
+  std::uint64_t bins = 0;
+  std::uint64_t windows = 0;
+  FoldSplit fold;
+  bool identical = false;
 };
 
 }  // namespace
@@ -225,7 +271,7 @@ int main(int argc, char** argv) {
   // timings compare codec+IO cost, not generator cost.
   trace::Trace full = header;
   full.events.reserve(n_events);
-  synth_events(n_events, 5, s0, s1, fn,
+  synth_events(n_events, 5, s0, s1, fn, 1,
                [&full](const trace::Event& e) { full.events.push_back(e); });
 
   syn.v3_write_ms = best_of(repeats, [&] {
@@ -463,18 +509,48 @@ int main(int argc, char** argv) {
   // drift cannot bias whichever side runs second.
   analyzer::AnalysisResult one_shot_result = analyze_or_die(v3_bundle.trace);
   analyzer::AnalysisResult sliced_result = ingest_sliced_or_die(v3_bundle.trace);
+  const std::uint64_t analyze_digest = analyzer::testing::digest(one_shot_result);
   for (int r = 0; r < repeats; ++r) {
-    auto start = Clock::now();
-    one_shot_result = analyze_or_die(v3_bundle.trace);
-    const double one_shot_ms = ms_since(start);
+    FoldSplit split;
+    one_shot_result = fold_timed(v3_bundle.trace, split);
+    syn.fold.keep_best(split, r == 0);
+    const double one_shot_ms = split.ingest_ms + split.finalize_ms;
     if (r == 0 || one_shot_ms < syn.aggregate_ms) syn.aggregate_ms = one_shot_ms;
-    start = Clock::now();
+    const auto start = Clock::now();
     sliced_result = ingest_sliced_or_die(v3_bundle.trace);
     const double sliced_ms = ms_since(start);
     if (r == 0 || sliced_ms < syn.aggregate_sliced_ms) syn.aggregate_sliced_ms = sliced_ms;
   }
-  syn.aggregate_identical = analyzer::testing::digest(one_shot_result) ==
-                            analyzer::testing::digest(sliced_result);
+  syn.aggregate_identical = analyzer::testing::digest(one_shot_result) == analyze_digest &&
+                            analyzer::testing::digest(sliced_result) == analyze_digest;
+  v3_bundle = {};
+  one_shot_result = {};
+  sliced_result = {};
+
+  // Long-span trace: a fifth of the events (at least the smoke size),
+  // with the time step stretched so the mean span reaches kLongSpanBins
+  // bins plus a margin (the generator's mean step is 24.5 ns).
+  LongSpanStats span;
+  {
+    trace::Trace long_span = header;
+    span.events = std::max<std::size_t>(n_events / 5, std::min<std::size_t>(n_events, 200'000));
+    const Ns bin_ns = analyzer::AnalyzerOptions{}.bw_bin_ns;
+    const Ns time_scale = (kLongSpanBins + kLongSpanBins / 20) * bin_ns /
+                              (static_cast<Ns>(span.events) * 49 / 2) + 1;
+    long_span.events.reserve(span.events);
+    synth_events(span.events, 6, s0, s1, fn, time_scale,
+                 [&long_span](const trace::Event& e) { long_span.events.push_back(e); });
+    analyzer::AnalysisResult long_result;
+    for (int r = 0; r < repeats; ++r) {
+      FoldSplit split;
+      long_result = fold_timed(long_span, split);
+      span.fold.keep_best(split, r == 0);
+    }
+    span.bins = long_result.system_bw.size();
+    for (const auto& site : long_result.sites) span.windows += site.windows.size();
+    span.identical = analyzer::testing::digest(long_result) ==
+                     analyzer::testing::digest(ingest_sliced_or_die(long_span));
+  }
   const double aggregate_events_per_s =
       syn.aggregate_ms > 0 ? static_cast<double>(n_events) / (syn.aggregate_ms / 1e3) : 0.0;
 
@@ -514,14 +590,30 @@ int main(int argc, char** argv) {
               mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
   std::printf("  %-28s %10.1f ms %10.2f M events/s\n", "aggregate (one-shot)",
               syn.aggregate_ms, aggregate_events_per_s / 1e6);
-  std::printf("  %-28s %10.1f ms  (identical: %s)\n\n", "aggregate (4096-event slices)",
+  std::printf("  %-28s %10.1f ms  (identical: %s)\n", "aggregate (4096-event slices)",
               syn.aggregate_sliced_ms, syn.aggregate_identical ? "yes" : "NO");
+  std::printf("  %-28s %10.1f ms\n", "  one-shot ingest", syn.fold.ingest_ms);
+  std::printf("  %-28s %10.1f ms\n\n", "  one-shot finalize", syn.fold.finalize_ms);
+  std::printf("long-span synthetic (%llu events, %llu bins, %llu live windows):\n",
+              static_cast<unsigned long long>(span.events),
+              static_cast<unsigned long long>(span.bins),
+              static_cast<unsigned long long>(span.windows));
+  std::printf("  %-28s %10.1f ms\n", "one-shot ingest", span.fold.ingest_ms);
+  std::printf("  %-28s %10.1f ms  (sliced identical: %s)\n\n", "one-shot finalize",
+              span.fold.finalize_ms, span.identical ? "yes" : "NO");
 
-  const bool all_identical =
-      syn.aggregate_identical && syn.read_identical && syn.compressed_identical;
+  const bool all_identical = syn.aggregate_identical && syn.read_identical &&
+                             syn.compressed_identical && span.identical;
 
   // ----------------------------------------------------------- verdicts
   const unsigned hw = std::thread::hardware_concurrency();
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
   const double per_block_decode_speedup =
       syn.v2_stream_decode_ms > 0 && syn.v3_block_decode_ms > 0
           ? mbs(syn.v3_bytes, syn.v3_block_decode_ms) / mbs(syn.v2_bytes, syn.v2_stream_decode_ms)
@@ -567,6 +659,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"threads\": %d,\n", threads);
   std::fprintf(out, "  \"repeats\": %d,\n", repeats);
   std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hw);
+  std::fprintf(out, "  \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(out, "  \"build_type\": \"%s\",\n", ECOHMEM_BUILD_TYPE);
   std::fprintf(out, "  \"synthetic\": {\n");
   std::fprintf(out, "    \"events\": %llu,\n", static_cast<unsigned long long>(syn.events));
   std::fprintf(out, "    \"v2_bytes\": %llu,\n", static_cast<unsigned long long>(syn.v2_bytes));
@@ -613,11 +707,21 @@ int main(int argc, char** argv) {
                mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
   std::fprintf(out, "    \"aggregate_ms\": %.3f,\n", syn.aggregate_ms);
   std::fprintf(out, "    \"aggregate_sliced_ms\": %.3f,\n", syn.aggregate_sliced_ms);
+  std::fprintf(out, "    \"ingest_ms\": %.3f,\n", syn.fold.ingest_ms);
+  std::fprintf(out, "    \"finalize_ms\": %.3f,\n", syn.fold.finalize_ms);
   std::fprintf(out, "    \"aggregate_events_per_s\": %.0f,\n", aggregate_events_per_s);
   std::fprintf(out, "    \"per_block_decode_speedup\": %.3f,\n", per_block_decode_speedup);
   std::fprintf(out, "    \"compressed_identical\": %s,\n",
                syn.compressed_identical ? "true" : "false");
   std::fprintf(out, "    \"identical\": %s\n", syn.aggregate_identical ? "true" : "false");
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"long_span\": {\n");
+  std::fprintf(out, "    \"events\": %llu,\n", static_cast<unsigned long long>(span.events));
+  std::fprintf(out, "    \"bins\": %llu,\n", static_cast<unsigned long long>(span.bins));
+  std::fprintf(out, "    \"live_windows\": %llu,\n", static_cast<unsigned long long>(span.windows));
+  std::fprintf(out, "    \"ingest_ms\": %.3f,\n", span.fold.ingest_ms);
+  std::fprintf(out, "    \"finalize_ms\": %.3f,\n", span.fold.finalize_ms);
+  std::fprintf(out, "    \"identical\": %s\n", span.identical ? "true" : "false");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"bounds_enforced\": %s,\n", smoke ? "false" : "true");
   std::fprintf(out, "  \"decode_speedup_bound_met\": %s,\n", decode_speedup_ok ? "true" : "false");

@@ -24,7 +24,7 @@ for arg in "$@"; do
   esac
 done
 
-cmake --preset default
+cmake --preset default -DECOHMEM_WERROR=ON
 cmake --build --preset default
 ctest --preset default -j"$(nproc)"
 
@@ -108,7 +108,7 @@ done
 
 # Trace pipeline bench (smoke mode: small synthetic trace, one repeat).
 # The binary itself exits nonzero when one-shot analyze() and 4096-event
-# sliced ingest disagree on any bit, for the synthetic trace or any app,
+# sliced ingest disagree on any bit, for either synthetic trace or any app,
 # or when the compressed trace decodes differently; its throughput
 # bounds (per-block decode >= 2x, the aggregation events/s floor,
 # compressed read) are recorded but not gated in smoke mode (a
@@ -121,7 +121,8 @@ for key in '"bench": "trace_pipeline"' '"hardware_concurrency"' '"v3_block_decod
            '"per_block_decode_speedup"' '"aggregate_events_per_s"' '"bounds_enforced"' \
            '"decode_speedup_bound_met": true' '"aggregate_floor_met": true' \
            '"compressed_read_bound_met": true' '"compressed_identical": true' \
-           '"identical": true' '"salvage_read_mbs"'; do
+           '"identical": true' '"salvage_read_mbs"' '"ingest_ms"' '"finalize_ms"' \
+           '"long_span"'; do
   if ! grep -F "$key" /tmp/BENCH_trace_pipeline_smoke.json >/dev/null; then
     echo "BENCH_trace_pipeline_smoke.json missing $key" >&2; exit 1
   fi

@@ -328,10 +328,34 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   // Snapshot semantics: the remaining folds mutate a copy.
   std::vector<SiteAccum> sites = st.sites;
 
-  // Deferred alloc-window folds, replayed in allocation order.
-  for (const auto& [site, w0] : st.alloc_bw_pending) {
-    sites[site].alloc_bw_sum += bw_meter.average_gbs(0, w0, w0 + st.options.alloc_window_ns);
-  }
+  // Bandwidth averages go through one batched averager, in chunks of
+  // at most kWindowChunk windows, so its scratch stays bounded however
+  // many windows a trace or a site has. `average_windows` averages
+  // `window(k)` for k = 0..n-1 and hands each result to `fold(k, avg)`
+  // in order k = 0..n-1.
+  constexpr std::size_t kWindowChunk = 4096;
+  memsim::WindowAverager averager(bw_meter, 0);
+  std::vector<memsim::TimeWindow> windows;
+  std::vector<double> averages;
+  const auto average_windows = [&](std::size_t n, const auto& window, const auto& fold) {
+    for (std::size_t c = 0; c < n; c += kWindowChunk) {
+      const std::size_t m = std::min(kWindowChunk, n - c);
+      windows.resize(m);
+      for (std::size_t k = 0; k < m; ++k) windows[k] = window(c + k);
+      averages.resize(m);
+      averager.average_gbs(windows, averages);
+      for (std::size_t k = 0; k < m; ++k) fold(c + k, averages[k]);
+    }
+  };
+
+  // Deferred alloc-window folds, in allocation order.
+  const auto& pending = st.alloc_bw_pending;
+  average_windows(
+      pending.size(),
+      [&](std::size_t k) {
+        return memsim::TimeWindow{pending[k].second, pending[k].second + st.options.alloc_window_ns};
+      },
+      [&](std::size_t k, double avg) { sites[pending[k].first].alloc_bw_sum += avg; });
 
   // Objects still live: close their windows at the last event time, in
   // ascending address order.
@@ -356,14 +380,21 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
       r.exec_bw_gbs = (r.load_misses + r.store_misses) * static_cast<double>(kCacheLine) /
                       r.total_lifetime_ns;
     }
-    // Execution-time system bandwidth: average over the live windows.
+    // Execution-time system bandwidth: the duration-weighted mean of
+    // the live windows' averages, folded in window order.
     double weighted = 0.0;
     double total_dur = 0.0;
-    for (const auto& w : r.windows) {
-      const double dur = static_cast<double>(w.duration());
-      weighted += bw_meter.average_gbs(0, w.start, std::max(w.end, w.start + 1)) * dur;
-      total_dur += dur;
-    }
+    average_windows(
+        r.windows.size(),
+        [&](std::size_t k) {
+          const LiveWindow& w = r.windows[k];
+          return memsim::TimeWindow{w.start, std::max(w.end, w.start + 1)};
+        },
+        [&](std::size_t k, double avg) {
+          const double dur = static_cast<double>(r.windows[k].duration());
+          weighted += avg * dur;
+          total_dur += dur;
+        });
     r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
 
     std::sort(r.windows.begin(), r.windows.end(),

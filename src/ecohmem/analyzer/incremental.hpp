@@ -31,6 +31,18 @@
 ///    attribution against it, per-site and per-function weight folds —
 ///    happens as each event arrives.
 ///
+/// `finalize()` is dominated by bandwidth averages: one per deferred
+/// allocation window and one per live window of every site (the
+/// execution-time system bandwidth of paper §VII), each over up to
+/// every bin of the timeline. They run as one batched window pass
+/// through a `memsim::WindowAverager` built once per call: the
+/// allocation windows, then each site's live windows, in fixed-size
+/// chunks. The averager returns the same doubles a per-window loop
+/// would, and finalize folds them in the original order — allocation
+/// order, then each site's window order — so the batching changes no
+/// bit of the result. Its scratch is bounded by the chunk size, never
+/// by a site or the whole trace.
+///
 /// Not thread-safe: the serving layer serializes access through the
 /// session store lock (docs/threading.md). `finalize()` is const and
 /// non-destructive, so ingestion can continue after a snapshot.

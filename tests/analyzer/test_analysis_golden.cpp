@@ -52,6 +52,15 @@ constexpr SyntheticGolden kSynthetic[] = {
     {2, true, 0x578ea090d6cba50cull},
 };
 
+// The same traces with 100 us bandwidth bins instead of 10 ms: ~10k
+// bins, so live windows span thousands of bins and batches of windows
+// end on ragged, unaligned bins.
+constexpr SyntheticGolden kSyntheticFineBins[] = {
+    {1, true, 0x997894413d32f5a9ull},
+    {1, false, 0xfec637d9a80d89e7ull},
+    {2, true, 0x44f9aa48f0e1dc06ull},
+};
+
 TEST(AnalysisGolden, RegisteredAppsMatchPinnedDigests) {
   for (const AppGolden& g : kApps) {
     SCOPED_TRACE(g.app);
@@ -83,6 +92,19 @@ TEST(AnalysisGolden, SyntheticTracesMatchPinnedDigests) {
     SCOPED_TRACE("seed " + std::to_string(g.seed) + (g.with_uncore ? " uncore" : " samples"));
     const auto result = analyze(testing::synthetic_trace(100'000, g.seed, g.with_uncore));
     ASSERT_TRUE(result.has_value()) << result.error();
+    EXPECT_EQ(testing::digest(*result), g.digest)
+        << std::hex << "0x" << testing::digest(*result) << "ull";
+  }
+}
+
+TEST(AnalysisGolden, SyntheticTracesWithFineBinsMatchPinnedDigests) {
+  AnalyzerOptions options;
+  options.bw_bin_ns = 100'000;
+  for (const SyntheticGolden& g : kSyntheticFineBins) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed) + (g.with_uncore ? " uncore" : " samples"));
+    const auto result = analyze(testing::synthetic_trace(100'000, g.seed, g.with_uncore), options);
+    ASSERT_TRUE(result.has_value()) << result.error();
+    EXPECT_GE(result->system_bw.size(), 5'000u);
     EXPECT_EQ(testing::digest(*result), g.digest)
         << std::hex << "0x" << testing::digest(*result) << "ull";
   }

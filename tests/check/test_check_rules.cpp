@@ -480,7 +480,14 @@ TraceIndexView clean_index() {
   idx.footer_offset = 400;
   idx.file_size = 496;
   idx.header_event_count = 30;
-  idx.entries = {{100, 10, 5}, {200, 10, 50}, {300, 10, 500}};
+  const auto block = [](std::uint64_t offset, std::uint64_t first_time) {
+    TraceIndexView::Entry e;
+    e.offset = offset;
+    e.count = 10;
+    e.first_time = first_time;
+    return e;
+  };
+  idx.entries = {block(100, 5), block(200, 50), block(300, 500)};
   return idx;
 }
 

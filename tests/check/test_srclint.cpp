@@ -21,7 +21,9 @@ std::string fixtures(const std::string& tree) {
 
 std::size_t count_rule(const SrclintResult& result, std::string_view id) {
   std::size_t n = 0;
-  for (const auto& d : result.diagnostics) n += d.rule == id ? 1 : 0;
+  for (const auto& d : result.diagnostics) {
+    if (d.rule == id) ++n;
+  }
   return n;
 }
 

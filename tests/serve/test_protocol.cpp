@@ -25,7 +25,9 @@ Expected<Frame> parse_all(const std::string& bytes,
   std::size_t consumed = 0;
   auto frame = parse_frame(reinterpret_cast<const unsigned char*>(bytes.data()),
                            bytes.size(), &consumed, max_frame);
-  if (frame) EXPECT_EQ(consumed, bytes.size());
+  if (frame) {
+    EXPECT_EQ(consumed, bytes.size());
+  }
   return frame;
 }
 
