@@ -19,15 +19,12 @@
 // Bounds, enforced at full size and recorded but not gated in smoke
 // mode (a sub-second trace measures call overhead, not throughput):
 //  - per-block decode: the v3 mmap block decode must be >= 2x the v2
-//    bounded-buffer istream decode (blocks decode independently, so
-//    --threads N workers scale this per-core rate);
+//    bounded-buffer istream decode;
 //  - aggregation: one-shot analyze() must fold >= kAggregateFloor
 //    events/s on the synthetic trace;
 //  - compressed read: <= 1.15x the uncompressed read wall time.
 //
-// Usage: bench_trace_pipeline [--events N] [--threads N] [--repeats R]
-//                             [--out FILE] [--smoke]
-//   --threads N  decode workers for the parallel and salvage reads
+// Usage: bench_trace_pipeline [--events N] [--repeats R] [--out FILE] [--smoke]
 
 #include <chrono>
 #include <cstdio>
@@ -128,7 +125,7 @@ constexpr std::size_t kSliceEvents = 4096;
 constexpr double kAggregateFloor = 800e3;
 
 /// Bandwidth bins the long-span trace must cover (the analyzer's
-/// default 10 ms bins), so that its live windows span thousands of them.
+/// default 10 ms bins), so that object lifetimes span thousands of them.
 constexpr std::size_t kLongSpanBins = 3000;
 
 analyzer::AnalysisResult analyze_or_die(const trace::Trace& t) {
@@ -195,7 +192,7 @@ struct SyntheticStats {
   std::uint64_t v3_bytes = 0;
   std::uint64_t v3c_bytes = 0;
   double v2_write_ms = 0, v3_write_ms = 0, v3c_write_ms = 0;
-  double v2_read_ms = 0, v3_read_serial_ms = 0, v3_read_parallel_ms = 0;
+  double v2_read_ms = 0, v3_read_serial_ms = 0;
   double v3c_read_ms = 0;
   double salvage_read_ms = 0;
   std::uint64_t salvage_recovered = 0, salvage_declared = 0;
@@ -210,7 +207,7 @@ struct SyntheticStats {
 struct LongSpanStats {
   std::uint64_t events = 0;
   std::uint64_t bins = 0;
-  std::uint64_t windows = 0;
+  std::uint64_t allocations = 0;  ///< summed alloc_count: one [alloc, free) window each
   FoldSplit fold;
   bool identical = false;
 };
@@ -219,7 +216,6 @@ struct LongSpanStats {
 
 int main(int argc, char** argv) {
   std::size_t n_events = 10'000'000;
-  int threads = 4;
   int repeats = 3;
   std::string out_path = "BENCH_trace_pipeline.json";
   bool smoke = false;
@@ -230,7 +226,6 @@ int main(int argc, char** argv) {
     } else if (i + 1 < argc) {
       const char* value = argv[++i];
       if (flag == "--events") n_events = static_cast<std::size_t>(std::atoll(value));
-      if (flag == "--threads") threads = std::atoi(value);
       if (flag == "--repeats") repeats = std::atoi(value);
       if (flag == "--out") out_path = value;
     }
@@ -239,16 +234,15 @@ int main(int argc, char** argv) {
     n_events = std::min<std::size_t>(n_events, 200'000);
     repeats = 1;
   }
-  if (threads < 2 || repeats < 1 || n_events == 0) {
-    std::fprintf(stderr, "error: --threads must be >= 2, --repeats and --events >= 1\n");
+  if (repeats < 1 || n_events == 0) {
+    std::fprintf(stderr, "error: --repeats and --events must be >= 1\n");
     return 1;
   }
 
   bench::print_header("Trace pipeline: v2 stream vs v3 indexed blocks, one-shot vs sliced fold",
                       "indexed trace format + the analyzer fold (docs/trace_format.md)");
-  std::printf("host cores: %u, threads: %d, repeats: %d (best-of), synthetic events: %zu%s\n\n",
-              std::thread::hardware_concurrency(), threads, repeats, n_events,
-              smoke ? " [smoke]" : "");
+  std::printf("host cores: %u, repeats: %d (best-of), synthetic events: %zu%s\n\n",
+              std::thread::hardware_concurrency(), repeats, n_events, smoke ? " [smoke]" : "");
 
   const std::string v2_path = "/tmp/bench_pipeline_v2.trc";
   const std::string v3_path = "/tmp/bench_pipeline_v3.trc";
@@ -334,8 +328,7 @@ int main(int argc, char** argv) {
   syn.v3_bytes = file_size(v3_path);
   syn.v3c_bytes = file_size(v3c_path);
 
-  // Read throughput: v2 bulk load, v3 mmap parallel, then v3 mmap
-  // serial against compressed v3.
+  // Read throughput: v2 bulk load, then v3 mmap against compressed v3.
   trace::TraceBundle v2_bundle;
   syn.v2_read_ms = best_of(repeats, [&] {
     auto loaded = trace::load_trace(v2_path);
@@ -351,23 +344,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", reader.error().c_str());
     return 1;
   }
-  trace::TraceBundle v3_parallel_bundle;
-  syn.v3_read_parallel_ms = best_of(repeats, [&] {
-    auto bundle = reader->read_all(threads);
-    if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
-    v3_parallel_bundle = std::move(*bundle);
-  });
   const std::size_t v2_events = v2_bundle.trace.events.size();
-  const std::size_t v3_parallel_events = v3_parallel_bundle.trace.events.size();
-  v2_bundle = {};           // only their event counts are compared; drop the
-  v3_parallel_bundle = {};  // ~0.5 GB each before the serial reads below
+  v2_bundle = {};  // only its event count is compared; drop ~0.5 GB before the v3 reads
 
   // Compressed v3: same events through bit-packed columnar blocks (what
   // `ecohmem-profile --compress` writes). Reads must flow through the
   // same reader, and the decoded events must be bit-identical to the
   // uncompressed read (verified below by re-encoding both streams). The
-  // compressed-read bound compares the two serial reads, so their
-  // repeats are interleaved: timing all of one before all of the other
+  // compressed-read bound compares the two reads, so their repeats are
+  // interleaved: timing all of one before all of the other
   // lets allocator and page-cache drift bias whichever runs second.
   const auto c_reader = trace::TraceReader::open(v3c_path);
   if (!c_reader) {
@@ -377,21 +362,20 @@ int main(int argc, char** argv) {
   trace::TraceBundle v3_bundle;
   {
     trace::TraceBundle v3c_bundle;
-    const auto read_serial = [](const trace::TraceReader& from, trace::TraceBundle& dst) {
+    const auto read = [](const trace::TraceReader& from, trace::TraceBundle& dst) {
       const auto start = Clock::now();
-      auto bundle = from.read_all(1);
+      auto bundle = from.read_all();
       if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
       dst = std::move(*bundle);
       return ms_since(start);
     };
     for (int r = 0; r < repeats; ++r) {
-      const double plain_ms = read_serial(*reader, v3_bundle);
+      const double plain_ms = read(*reader, v3_bundle);
       if (r == 0 || plain_ms < syn.v3_read_serial_ms) syn.v3_read_serial_ms = plain_ms;
-      const double compressed_ms = read_serial(*c_reader, v3c_bundle);
+      const double compressed_ms = read(*c_reader, v3c_bundle);
       if (r == 0 || compressed_ms < syn.v3c_read_ms) syn.v3c_read_ms = compressed_ms;
     }
-    syn.read_identical = v2_events == v3_bundle.trace.events.size() &&
-                         v3_parallel_events == v3_bundle.trace.events.size();
+    syn.read_identical = v2_events == v3_bundle.trace.events.size();
     syn.compressed_identical =
         v3c_bundle.trace.events.size() == v3_bundle.trace.events.size();
     if (syn.compressed_identical) {
@@ -411,7 +395,7 @@ int main(int argc, char** argv) {
   }
 
   // Salvage read throughput: a damaged copy of the v3 trace (one block
-  // garbled mid-body) recovered fail-soft with the same parallel decode.
+  // garbled mid-body) recovered fail-soft.
   const std::string salvage_path = "/tmp/bench_pipeline_v3_damaged.trc";
   {
     std::vector<unsigned char> buf(syn.v3_bytes);
@@ -446,7 +430,7 @@ int main(int argc, char** argv) {
     syn.salvage_recovered = salvage_reader->manifest().events_recovered;
     syn.salvage_declared = salvage_reader->manifest().events_declared;
     syn.salvage_read_ms = best_of(repeats, [&] {
-      auto bundle = salvage_reader->read_all(threads);
+      auto bundle = salvage_reader->read_all();
       if (!bundle) std::exit((std::fprintf(stderr, "error: %s\n", bundle.error().c_str()), 1));
     });
     if (syn.salvage_recovered == 0 || syn.salvage_recovered >= syn.salvage_declared) {
@@ -459,8 +443,7 @@ int main(int argc, char** argv) {
 
   // Per-block decode throughput: the pure decode paths with IO amortized
   // away — v3's mmap ByteReader against v2's bounded-buffer istream
-  // reader (the 1-core proxy for parallel decode capacity: blocks decode
-  // independently, so N cores scale the numerator).
+  // reader.
   {
     std::vector<trace::Event> scratch;
     std::size_t max_block = 0;
@@ -547,7 +530,7 @@ int main(int argc, char** argv) {
       span.fold.keep_best(split, r == 0);
     }
     span.bins = long_result.system_bw.size();
-    for (const auto& site : long_result.sites) span.windows += site.windows.size();
+    for (const auto& site : long_result.sites) span.allocations += site.alloc_count;
     span.identical = analyzer::testing::digest(long_result) ==
                      analyzer::testing::digest(ingest_sliced_or_die(long_span));
   }
@@ -568,10 +551,8 @@ int main(int argc, char** argv) {
               mbs(syn.v3c_bytes, syn.v3c_write_ms));
   std::printf("  %-28s %10.1f ms %10.1f MB/s\n", "v2 read", syn.v2_read_ms,
               mbs(syn.v2_bytes, syn.v2_read_ms));
-  std::printf("  %-28s %10.1f ms %10.1f MB/s\n", "v3 read (1 thread)", syn.v3_read_serial_ms,
+  std::printf("  %-28s %10.1f ms %10.1f MB/s\n", "v3 read", syn.v3_read_serial_ms,
               mbs(syn.v3_bytes, syn.v3_read_serial_ms));
-  std::printf("  %-28s %10.1f ms %10.1f MB/s\n", "v3 read (N threads)", syn.v3_read_parallel_ms,
-              mbs(syn.v3_bytes, syn.v3_read_parallel_ms));
   std::printf("  %-28s %10.1f ms %10.1f MB/s  (%.1f MB/s plain-equiv, identical: %s)\n",
               "v3 read (compressed)", syn.v3c_read_ms, mbs(syn.v3c_bytes, syn.v3c_read_ms),
               mbs(syn.v3_bytes, syn.v3c_read_ms), syn.compressed_identical ? "yes" : "NO");
@@ -594,10 +575,10 @@ int main(int argc, char** argv) {
               syn.aggregate_sliced_ms, syn.aggregate_identical ? "yes" : "NO");
   std::printf("  %-28s %10.1f ms\n", "  one-shot ingest", syn.fold.ingest_ms);
   std::printf("  %-28s %10.1f ms\n\n", "  one-shot finalize", syn.fold.finalize_ms);
-  std::printf("long-span synthetic (%llu events, %llu bins, %llu live windows):\n",
+  std::printf("long-span synthetic (%llu events, %llu bins, %llu allocations):\n",
               static_cast<unsigned long long>(span.events),
               static_cast<unsigned long long>(span.bins),
-              static_cast<unsigned long long>(span.windows));
+              static_cast<unsigned long long>(span.allocations));
   std::printf("  %-28s %10.1f ms\n", "one-shot ingest", span.fold.ingest_ms);
   std::printf("  %-28s %10.1f ms  (sliced identical: %s)\n\n", "one-shot finalize",
               span.fold.finalize_ms, span.identical ? "yes" : "NO");
@@ -656,11 +637,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"trace_pipeline\",\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"threads\": %d,\n", threads);
   std::fprintf(out, "  \"repeats\": %d,\n", repeats);
   std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hw);
   std::fprintf(out, "  \"compiler\": \"%s\",\n", compiler);
   std::fprintf(out, "  \"build_type\": \"%s\",\n", ECOHMEM_BUILD_TYPE);
+  std::fprintf(out, "  \"git\": \"%s\",\n", ECOHMEM_GIT_DESCRIBE);
   std::fprintf(out, "  \"synthetic\": {\n");
   std::fprintf(out, "    \"events\": %llu,\n", static_cast<unsigned long long>(syn.events));
   std::fprintf(out, "    \"v2_bytes\": %llu,\n", static_cast<unsigned long long>(syn.v2_bytes));
@@ -681,8 +662,6 @@ int main(int argc, char** argv) {
                mbs(syn.v2_bytes, syn.v2_read_ms));
   std::fprintf(out, "    \"v3_read_serial_ms\": %.3f, \"v3_read_serial_mbs\": %.1f,\n",
                syn.v3_read_serial_ms, mbs(syn.v3_bytes, syn.v3_read_serial_ms));
-  std::fprintf(out, "    \"v3_read_parallel_ms\": %.3f, \"v3_read_parallel_mbs\": %.1f,\n",
-               syn.v3_read_parallel_ms, mbs(syn.v3_bytes, syn.v3_read_parallel_ms));
   std::fprintf(out, "    \"v3_compressed_read_ms\": %.3f, \"compressed_read_mbs\": %.1f,\n",
                syn.v3c_read_ms, mbs(syn.v3c_bytes, syn.v3c_read_ms));
   std::fprintf(out, "    \"compressed_read_plain_equiv_mbs\": %.1f,\n",
@@ -718,7 +697,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"long_span\": {\n");
   std::fprintf(out, "    \"events\": %llu,\n", static_cast<unsigned long long>(span.events));
   std::fprintf(out, "    \"bins\": %llu,\n", static_cast<unsigned long long>(span.bins));
-  std::fprintf(out, "    \"live_windows\": %llu,\n", static_cast<unsigned long long>(span.windows));
+  std::fprintf(out, "    \"allocations\": %llu,\n",
+               static_cast<unsigned long long>(span.allocations));
   std::fprintf(out, "    \"ingest_ms\": %.3f,\n", span.fold.ingest_ms);
   std::fprintf(out, "    \"finalize_ms\": %.3f,\n", span.fold.finalize_ms);
   std::fprintf(out, "    \"identical\": %s\n", span.identical ? "true" : "false");

@@ -29,9 +29,10 @@ cmake --build --preset default
 ctest --preset default -j"$(nproc)"
 
 # Concurrency-suite filter, shared by the lockdep re-run below and the
-# TSan pass: every suite that exercises locks or worker threads —
-# FlexMalloc heap/matcher stress, salvage-mode parallel reads, online migration through FlexMalloc's ranked locks,
-# the worker pool, and the lockdep validator's own tests. New
+# TSan pass: every suite that exercises locks or threads — FlexMalloc
+# heap/matcher stress, the serve daemon's sessions and server, online
+# migration through FlexMalloc's ranked locks, and the lockdep
+# validator's own tests — plus the salvage fault-injection suites. New
 # concurrent suites must match this regex (name them *Concurrency* or
 # extend the list).
 concurrency_suites='Concurrency|Salvage|OnlineEngine|Lockdep'
@@ -217,17 +218,17 @@ for key in '"bench": "online_placement"' '"hysteresis"' '"all_pass": true' \
 done
 
 # v3 indexed trace path: profile in v3, lint the footer index
-# (trace-v3-index), decode the blocks on 4 workers — the report must be
-# byte-identical to the serially decoded one — and stream a timeline
-# from the file.
+# (trace-v3-index), advise from it — `--threads 4` is an accepted no-op,
+# so its report must be byte-identical to the default one — and stream
+# a timeline from the file.
 build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc \
   --format v3 --block-events 4096
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
-  --out /tmp/ecohmem_ci_v3_parallel.txt --threads 4
+  --out /tmp/ecohmem_ci_v3_threads.txt --threads 4
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3_serial.txt
-cmp /tmp/ecohmem_ci_v3_parallel.txt /tmp/ecohmem_ci_v3_serial.txt
+cmp /tmp/ecohmem_ci_v3_threads.txt /tmp/ecohmem_ci_v3_serial.txt
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 

@@ -4,7 +4,8 @@
 /// The Paramedir role: turn a raw trace into per-site records.
 ///
 ///  1. Replay allocation/free events to build live address intervals and
-///     per-site counts/footprints/lifetime windows.
+///     per-site counts, footprints and lifetimes (first allocation, last
+///     free, summed [alloc, free) windows).
 ///  2. Attribute each PEBS sample to the object live at its data linear
 ///     address (and to the enclosing function for Table VII).
 ///  3. Reconstruct the system bandwidth timeline (uncore readings, or

@@ -19,7 +19,9 @@ struct SiteAccum {
   Bytes live_bytes = 0;         ///< currently live footprint of this site
   double latency_weight = 0.0;  ///< weights of latency-carrying samples
   double latency_sum = 0.0;     ///< weight * latency
-  double alloc_bw_sum = 0.0;    ///< per-allocation system bw, summed
+  /// Closed [alloc, free) windows in close order, for finalize's
+  /// execution-time bandwidth average (which can see future traffic).
+  std::vector<LiveWindow> closed;
 };
 
 /// Accumulator per traced function (Table VII inputs).
@@ -224,7 +226,7 @@ Status IncrementalAggregator::State::free(const trace::FreeEvent& f) {
   }
   SiteAccum& acc = sites[obj.site];
   acc.live_bytes = acc.live_bytes >= obj.size ? acc.live_bytes - obj.size : 0;
-  acc.record.windows.push_back(LiveWindow{obj.alloc_time, f.time});
+  acc.closed.push_back(LiveWindow{obj.alloc_time, f.time});
   acc.record.last_free = std::max(acc.record.last_free, f.time);
   acc.record.total_lifetime_ns +=
       static_cast<double>(f.time > obj.alloc_time ? f.time - obj.alloc_time : 0);
@@ -325,8 +327,11 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   result.system_bw = bw_meter.series(0);
   result.observed_peak_bw_gbs = bw_meter.peak_gbs(0);
 
-  // Snapshot semantics: the remaining folds mutate a copy.
-  std::vector<SiteAccum> sites = st.sites;
+  // The result records start as the sites' ingested fields, indexed
+  // like `st.sites` until the output sort; the folds below finish them
+  // without touching the state, so ingestion can continue afterwards.
+  result.sites.reserve(st.sites.size());
+  for (const SiteAccum& acc : st.sites) result.sites.push_back(acc.record);
 
   // Bandwidth averages go through one batched averager, in chunks of
   // at most kWindowChunk windows, so its scratch stays bounded however
@@ -347,32 +352,69 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
       for (std::size_t k = 0; k < m; ++k) fold(c + k, averages[k]);
     }
   };
+  const auto exec_window = [](const LiveWindow& w) {
+    return memsim::TimeWindow{w.start, std::max(w.end, w.start + 1)};
+  };
 
   // Deferred alloc-window folds, in allocation order.
+  std::vector<double> alloc_bw_sum(st.sites.size(), 0.0);
   const auto& pending = st.alloc_bw_pending;
   average_windows(
       pending.size(),
       [&](std::size_t k) {
         return memsim::TimeWindow{pending[k].second, pending[k].second + st.options.alloc_window_ns};
       },
-      [&](std::size_t k, double avg) { sites[pending[k].first].alloc_bw_sum += avg; });
+      [&](std::size_t k, double avg) { alloc_bw_sum[pending[k].first] += avg; });
 
-  // Objects still live: close their windows at the last event time, in
+  // Execution-time system bandwidth: the duration-weighted mean of the
+  // averages over each site's windows, folded in window order — its
+  // closed windows in close order, then its objects still live in
   // ascending address order.
+  struct ExecFold {
+    double weighted = 0.0;
+    double total_dur = 0.0;
+    void add(double avg, const LiveWindow& w) {
+      const double dur = static_cast<double>(w.duration());
+      weighted += avg * dur;
+      total_dur += dur;
+    }
+  };
+  std::vector<ExecFold> exec(st.sites.size());
+  for (std::size_t s = 0; s < st.sites.size(); ++s) {
+    const std::vector<LiveWindow>& closed = st.sites[s].closed;
+    average_windows(
+        closed.size(), [&](std::size_t k) { return exec_window(closed[k]); },
+        [&](std::size_t k, double avg) { exec[s].add(avg, closed[k]); });
+  }
+
+  // Objects still live: their windows close at the last event time.
+  // One pass over the live set in ascending address order, cut into
+  // chunks of the averager's batch size.
+  std::vector<std::pair<std::uint32_t, LiveWindow>> live_chunk;  // (site, window)
+  const auto fold_live_chunk = [&] {
+    average_windows(
+        live_chunk.size(), [&](std::size_t k) { return exec_window(live_chunk[k].second); },
+        [&](std::size_t k, double avg) {
+          const auto& [site, w] = live_chunk[k];
+          exec[site].add(avg, w);
+          SiteRecord& r = result.sites[site];
+          r.last_free = std::max(r.last_free, w.end);
+          r.total_lifetime_ns += static_cast<double>(w.duration());
+        });
+    live_chunk.clear();
+  };
   st.live.for_each([&](const LiveObject& obj) {
-    SiteRecord& r = sites[obj.site].record;
-    r.windows.push_back(LiveWindow{obj.alloc_time, st.last_time});
-    r.last_free = std::max(r.last_free, st.last_time);
-    r.total_lifetime_ns +=
-        static_cast<double>(st.last_time > obj.alloc_time ? st.last_time - obj.alloc_time : 0);
+    live_chunk.emplace_back(obj.site, LiveWindow{obj.alloc_time, st.last_time});
+    if (live_chunk.size() == kWindowChunk) fold_live_chunk();
   });
+  fold_live_chunk();
 
   // Derived per-site metrics.
-  result.sites.reserve(sites.size());
-  for (SiteAccum& acc : sites) {
-    SiteRecord& r = acc.record;
+  for (std::size_t s = 0; s < st.sites.size(); ++s) {
+    const SiteAccum& acc = st.sites[s];
+    SiteRecord& r = result.sites[s];
     r.mean_lifetime_ns = r.total_lifetime_ns / static_cast<double>(r.alloc_count);
-    r.alloc_time_system_bw_gbs = acc.alloc_bw_sum / static_cast<double>(r.alloc_count);
+    r.alloc_time_system_bw_gbs = alloc_bw_sum[s] / static_cast<double>(r.alloc_count);
     if (acc.latency_weight > 0.0) {
       r.avg_load_latency_ns = acc.latency_sum / acc.latency_weight;
     }
@@ -380,26 +422,8 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
       r.exec_bw_gbs = (r.load_misses + r.store_misses) * static_cast<double>(kCacheLine) /
                       r.total_lifetime_ns;
     }
-    // Execution-time system bandwidth: the duration-weighted mean of
-    // the live windows' averages, folded in window order.
-    double weighted = 0.0;
-    double total_dur = 0.0;
-    average_windows(
-        r.windows.size(),
-        [&](std::size_t k) {
-          const LiveWindow& w = r.windows[k];
-          return memsim::TimeWindow{w.start, std::max(w.end, w.start + 1)};
-        },
-        [&](std::size_t k, double avg) {
-          const double dur = static_cast<double>(r.windows[k].duration());
-          weighted += avg * dur;
-          total_dur += dur;
-        });
-    r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
-
-    std::sort(r.windows.begin(), r.windows.end(),
-              [](const LiveWindow& a, const LiveWindow& b) { return a.start < b.start; });
-    result.sites.push_back(std::move(r));
+    r.exec_time_system_bw_gbs =
+        exec[s].total_dur > 0.0 ? exec[s].weighted / exec[s].total_dur : 0.0;
   }
 
   // Deterministic output order: by first allocation, then stack id.

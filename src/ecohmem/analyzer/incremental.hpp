@@ -32,16 +32,21 @@
 ///    happens as each event arrives.
 ///
 /// `finalize()` is dominated by bandwidth averages: one per deferred
-/// allocation window and one per live window of every site (the
-/// execution-time system bandwidth of paper §VII), each over up to
+/// allocation window and one per [alloc, free) window of every object
+/// (the execution-time system bandwidth of paper §VII), each over up to
 /// every bin of the timeline. They run as one batched window pass
-/// through a `memsim::WindowAverager` built once per call: the
-/// allocation windows, then each site's live windows, in fixed-size
-/// chunks. The averager returns the same doubles a per-window loop
-/// would, and finalize folds them in the original order — allocation
-/// order, then each site's window order — so the batching changes no
-/// bit of the result. Its scratch is bounded by the chunk size, never
-/// by a site or the whole trace.
+/// through a `memsim::WindowAverager` built once per call, in
+/// fixed-size chunks: the allocation windows in allocation order, each
+/// site's closed windows in close order, then the objects still live in
+/// ascending address order. The averager returns the same doubles a
+/// per-window loop would, and finalize folds them in that order, so the
+/// batching changes no bit of the result. Its scratch is bounded by the
+/// chunk size, never by a site or the whole trace.
+///
+/// finalize reads the accumulators in place — no copy of the per-site
+/// state, no sort of any window list — and builds each result record
+/// from the site's small fields; the windows themselves stay private to
+/// the fold.
 ///
 /// Not thread-safe: the serving layer serializes access through the
 /// session store lock (docs/threading.md). `finalize()` is const and
@@ -90,7 +95,7 @@ class IncrementalAggregator {
   [[nodiscard]] const std::string& error() const;
 
   /// Produces the analysis of everything ingested so far. Non-destructive:
-  /// operates on copies of the accumulators, so ingestion may continue
+  /// it only reads the accumulators, so ingestion may continue
   /// afterwards. `coverage` stamps the result (empty = the ingested
   /// events are the whole trace).
   [[nodiscard]] Expected<AnalysisResult> finalize(trace::TraceCoverage coverage = {}) const;

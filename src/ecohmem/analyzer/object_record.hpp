@@ -10,7 +10,6 @@
 /// stack it captures at interposition time (§IV, §VI).
 
 #include <string>
-#include <vector>
 
 #include "ecohmem/bom/frame.hpp"
 #include "ecohmem/common/units.hpp"
@@ -18,8 +17,10 @@
 
 namespace ecohmem::analyzer {
 
-/// One [alloc, free) window of a site (used by Algorithm 1's lifetime
-/// containment check).
+/// A [start, end) span of time. Algorithm 1's lifetime containment
+/// check compares sites' [first_alloc, last_free) spans with it; the
+/// analyzer folds each object's [alloc, free) window into the site's
+/// lifetime and bandwidth fields, and the result carries no window list.
 struct LiveWindow {
   Ns start = 0;
   Ns end = 0;
@@ -45,7 +46,7 @@ struct SiteRecord {
 
   Ns first_alloc = 0;
   Ns last_free = 0;
-  double total_lifetime_ns = 0.0;  ///< sum over all windows
+  double total_lifetime_ns = 0.0;  ///< sum over all [alloc, free) windows
   double mean_lifetime_ns = 0.0;
 
   /// Bandwidth the site itself demands over its lifetime:
@@ -62,8 +63,6 @@ struct SiteRecord {
   double exec_time_system_bw_gbs = 0.0;
 
   bool has_writes = false;
-
-  std::vector<LiveWindow> windows;
 
   /// Miss density used by the base knapsack algorithm:
   /// (C_load * loads + C_store * stores) / max_size.

@@ -52,7 +52,6 @@ enum class LockRank : int {
   kServeRegistryShard = 4,  ///< SessionManager shard map (serve/session.*)
   kServeSessionQueue = 6,   ///< per-session bounded ingest queue (serve/session.*)
   kServeSessionStore = 8,   ///< per-session incremental site store (serve/session.*)
-  kWorkerPool = 10,         ///< WorkerPool phase hand-off (runtime/worker_pool.hpp)
   kMatcherHr = 20,          ///< CallStackMatcher human-readable path (flexmalloc/matcher.*)
   kMatchCacheShard = 30,    ///< MatchCache shard shared_mutex (flexmalloc/matcher.*)
   kArenaHeap = 40,          ///< per-tier ArenaHeap leaf mutex (flexmalloc/heap_manager.*)

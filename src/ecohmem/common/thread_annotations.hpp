@@ -4,7 +4,7 @@
 /// Clang thread-safety-analysis macros (docs/threading.md).
 ///
 /// The locking contracts of the concurrent layers — FlexMalloc's leaf
-/// mutexes, the match-cache shards, the worker pool's phase hand-off —
+/// mutexes, the match-cache shards, the serve session's queue and store —
 /// are machine-checked at compile time by Clang's `-Wthread-safety`
 /// analysis. The `clang-tsa` CMake preset builds the tree with the
 /// analysis promoted to an error; under GCC (which has no equivalent
@@ -84,8 +84,8 @@
 /// Function returns a reference to the given capability.
 #define ECOHMEM_RETURN_CAPABILITY(x) ECOHMEM_THREAD_ANNOTATION(lock_returned(x))
 
-/// Escape hatch for functions the analysis cannot follow (e.g. the
-/// worker pool's condition-variable phase hand-off). Use sparingly and
-/// say why at the use site.
+/// Escape hatch for functions the analysis cannot follow (e.g. a
+/// lock handed between functions). Use sparingly and say why at the
+/// use site.
 #define ECOHMEM_NO_THREAD_SAFETY_ANALYSIS \
   ECOHMEM_THREAD_ANNOTATION(no_thread_safety_analysis)

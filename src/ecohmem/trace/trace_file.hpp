@@ -73,11 +73,11 @@ struct TraceWriteOptions {
   bool compact = false;
   /// Version-3 indexed encoding: the compact codec written in
   /// independently-decodable blocks with a footer index (takes
-  /// precedence over `compact`). Enables mmap random access, streaming,
-  /// and parallel decode via `TraceReader`.
+  /// precedence over `compact`). Enables mmap random access and
+  /// per-block decode via `TraceReader`, and streaming.
   bool indexed = false;
   /// Events per v3 block. Smaller blocks mean finer-grained random
-  /// access and parallelism at a slightly larger index.
+  /// access at a slightly larger index.
   std::uint64_t block_events = 64 * 1024;
   /// Compress v3 block bodies (column streams, flagged per block in the
   /// footer index; see docs/trace_format.md). Requires `indexed`; blocks

@@ -12,7 +12,6 @@
 #include <istream>
 #include <utility>
 
-#include "ecohmem/runtime/worker_pool.hpp"
 #include "ecohmem/trace/codec.hpp"
 
 namespace ecohmem::trace {
@@ -369,7 +368,7 @@ Status TraceReader::decode_block(std::size_t i, std::vector<Event>& out) const {
   return decode_block_into(i, out.data());
 }
 
-Expected<TraceBundle> TraceReader::read_all(int threads) const {
+Expected<TraceBundle> TraceReader::read_all() const {
   const Impl& impl = *impl_;
   TraceBundle bundle;
   bundle.trace.stacks = impl.header.stacks;
@@ -381,49 +380,13 @@ Expected<TraceBundle> TraceReader::read_all(int threads) const {
       impl.manifest.salvaged ? impl.manifest.events_declared : impl.header.event_count;
   bundle.coverage.salvaged = impl.manifest.salvaged;
   bundle.trace.events.resize(static_cast<std::size_t>(impl.header.event_count));
-
-  const std::size_t want = threads < 1 ? 1 : static_cast<std::size_t>(threads);
-  const std::size_t workers = std::min(want, impl.blocks.size());
-
-  if (workers <= 1) {
-    for (std::size_t b = 0; b < impl.blocks.size(); ++b) {
-      if (Status s =
-              decode_block_into(b, bundle.trace.events.data() + impl.blocks[b].first_event_index);
-          !s.ok()) {
-        return unexpected(s.error());
-      }
-    }
-    return bundle;
-  }
-
-  // Parallel block decode: workers fill disjoint event slices, so the
-  // materialized vector is byte-for-byte what serial decode produces.
-  // Blocks are strided across workers for balance.
-  std::vector<Status> worker_status(workers);
-  std::vector<std::size_t> failed_block(workers, impl.blocks.size());
-  runtime::WorkerPool pool(workers);
-  Event* events = bundle.trace.events.data();
-  pool.run([&](std::size_t w) {
-    for (std::size_t b = w; b < impl.blocks.size(); b += workers) {
-      Status s = decode_block_into(b, events + impl.blocks[b].first_event_index);
-      if (!s.ok()) {
-        worker_status[w] = std::move(s);
-        failed_block[w] = b;
-        return;
-      }
-    }
-  });
-  // Report the earliest failing block so the error is thread-count
-  // independent.
-  std::size_t first_fail = impl.blocks.size();
-  std::size_t fail_worker = workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (!worker_status[w].ok() && failed_block[w] < first_fail) {
-      first_fail = failed_block[w];
-      fail_worker = w;
+  for (std::size_t b = 0; b < impl.blocks.size(); ++b) {
+    if (Status s =
+            decode_block_into(b, bundle.trace.events.data() + impl.blocks[b].first_event_index);
+        !s.ok()) {
+      return unexpected(s.error());
     }
   }
-  if (fail_worker != workers) return unexpected(worker_status[fail_worker].error());
   return bundle;
 }
 

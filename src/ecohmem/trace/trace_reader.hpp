@@ -5,11 +5,9 @@
 ///
 /// `TraceReader` mmaps a trace file (falling back to a private in-memory
 /// copy for unseekable inputs) and exposes the v3 block index: each
-/// block is independently decodable, so blocks can be decoded on demand,
-/// out of order, or in parallel (`read_all(threads)` fans block decoding
-/// out across a fork-join worker pool and writes into disjoint slices of
-/// the destination vector — bit-identical to serial decode by
-/// construction). v1/v2 traces are presented as a single virtual block,
+/// block is independently decodable, so blocks can be decoded on demand
+/// or out of order; `read_all()` decodes them in file order into one
+/// event vector. v1/v2 traces are presented as a single virtual block,
 /// so every caller works on every version.
 ///
 /// `TraceStreamer` is the bounded-memory path for consumers that never
@@ -17,10 +15,9 @@
 /// header tables, the block index, and one 256 KiB read buffer resident
 /// regardless of trace size, re-reading the file on each pass.
 ///
-/// Thread safety: after construction, `TraceReader`'s accessors and
-/// `decode_block*` are const and safe to call from any number of threads
-/// concurrently (the mapping is immutable). `read_all` must be called
-/// from one thread at a time (it owns the worker pool hand-off).
+/// Thread safety: after construction, `TraceReader`'s accessors,
+/// `decode_block*` and `read_all` are const and safe to call from any
+/// number of threads concurrently (the mapping is immutable).
 
 #include <cstdint>
 #include <functional>
@@ -91,12 +88,10 @@ class TraceReader {
   /// Convenience: resizes `out` and decodes into it.
   [[nodiscard]] Status decode_block(std::size_t i, std::vector<Event>& out) const;
 
-  /// Materializes the whole trace (tables copied). With `threads > 1`
-  /// and a v3 trace, blocks decode in parallel into disjoint slices of
-  /// the event vector; the result is bit-identical to serial decode —
-  /// in salvage mode too (recovered blocks are fixed at open time).
-  /// The bundle's `coverage` reflects the salvage manifest.
-  [[nodiscard]] Expected<TraceBundle> read_all(int threads = 1) const;
+  /// Materializes the whole trace (tables copied), decoding every block
+  /// in file order; in salvage mode, every block recovered at open
+  /// time. The bundle's `coverage` reflects the salvage manifest.
+  [[nodiscard]] Expected<TraceBundle> read_all() const;
 
   /// Salvage accounting for this open. `manifest().salvaged` is false
   /// for strict opens (the other fields are then meaningless).

@@ -27,15 +27,15 @@ struct AppGolden {
 // Every registered app, profiled for two iterations on the paper
 // system with all objects in tier 1 (testing::profile_app).
 constexpr AppGolden kApps[] = {
-    {"minife", 4212, 0x76da63760dc1c53cull},
-    {"minimd", 5713, 0x7bf9cd46696da2d8ull},
-    {"lulesh", 7457, 0x9a811954a8288666ull},
-    {"hpcg", 6419, 0x8c8e37dddc62d1bdull},
-    {"cloverleaf3d", 5107, 0x167b1bad00a6eecbull},
-    {"lammps", 11989, 0x5dc2e7e69da6ae2full},
-    {"openfoam", 13353, 0xbd493e384197f1d1ull},
-    {"phase-shift", 50248, 0xff7d3b265d4fbd5cull},
-    {"large-hot", 30912, 0xde80e8b4e475d040ull},
+    {"minife", 4212, 0x262edb3976669518ull},
+    {"minimd", 5713, 0x7eccbff7f6c7fe8dull},
+    {"lulesh", 7457, 0x7256305fee191a2dull},
+    {"hpcg", 6419, 0x3ae6eb734f55d675ull},
+    {"cloverleaf3d", 5107, 0x787ed8be2b011777ull},
+    {"lammps", 11989, 0xb178586056025c9dull},
+    {"openfoam", 13353, 0xe333242910e6ae43ull},
+    {"phase-shift", 50248, 0x1a5c077e5988e75bull},
+    {"large-hot", 30912, 0x44ca052825dd9e18ull},
 };
 
 struct SyntheticGolden {
@@ -47,18 +47,18 @@ struct SyntheticGolden {
 // testing::synthetic_trace at 100k events: live sets of thousands of
 // objects, freed in random order.
 constexpr SyntheticGolden kSynthetic[] = {
-    {1, true, 0x8b9f46f0474f49e6ull},
-    {1, false, 0x5a9aed713f8247d9ull},
-    {2, true, 0x578ea090d6cba50cull},
+    {1, true, 0x6be76fa6700130aeull},
+    {1, false, 0x8e7743e9be22577aull},
+    {2, true, 0xa00754b303f9c2d0ull},
 };
 
 // The same traces with 100 us bandwidth bins instead of 10 ms: ~10k
-// bins, so live windows span thousands of bins and batches of windows
-// end on ragged, unaligned bins.
+// bins, so object lifetimes span thousands of bins and batches of
+// windows end on ragged, unaligned bins.
 constexpr SyntheticGolden kSyntheticFineBins[] = {
-    {1, true, 0x997894413d32f5a9ull},
-    {1, false, 0xfec637d9a80d89e7ull},
-    {2, true, 0x44f9aa48f0e1dc06ull},
+    {1, true, 0xd3cf1e9870e9aeb5ull},
+    {1, false, 0x3170ff9b704538f0ull},
+    {2, true, 0x456225fdc0a288eaull},
 };
 
 TEST(AnalysisGolden, RegisteredAppsMatchPinnedDigests) {

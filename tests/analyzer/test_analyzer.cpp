@@ -59,13 +59,13 @@ TEST(Analyzer, LifetimeWindows) {
   const auto result = analyze(simple_trace());
   ASSERT_TRUE(result.has_value());
   const SiteRecord& a = result->sites[0];
-  ASSERT_EQ(a.windows.size(), 1u);
-  EXPECT_EQ(a.windows[0].start, 100u);
-  EXPECT_EQ(a.windows[0].end, 1'000'000'000u);
+  EXPECT_EQ(a.first_alloc, 100u);
+  EXPECT_EQ(a.last_free, 1'000'000'000u);
+  EXPECT_DOUBLE_EQ(a.total_lifetime_ns, 1'000'000'000.0 - 100.0);
   // Object 2 never freed: window closed at trace end.
   const SiteRecord& b = result->sites[1];
-  ASSERT_EQ(b.windows.size(), 1u);
-  EXPECT_EQ(b.windows[0].end, result->trace_end);
+  EXPECT_EQ(b.last_free, result->trace_end);
+  EXPECT_DOUBLE_EQ(b.total_lifetime_ns, static_cast<double>(result->trace_end - b.first_alloc));
 }
 
 TEST(Analyzer, UnattributedSamplesCounted) {

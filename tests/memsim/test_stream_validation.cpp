@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ecohmem/memsim/analytic_cache.hpp"
 #include "ecohmem/memsim/cache.hpp"
 #include "ecohmem/memsim/stream_generator.hpp"
@@ -180,6 +182,9 @@ struct ValidationCase {
   double friendliness;
   double tolerance;
 };
+
+/// Prints the case name, so the listed test names carry no raw bytes.
+void PrintTo(const ValidationCase& c, std::ostream* os) { *os << c.name; }
 
 class AnalyticAgreement : public ::testing::TestWithParam<ValidationCase> {};
 

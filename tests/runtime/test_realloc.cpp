@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <variant>
+
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/profiler/profiler.hpp"
@@ -92,9 +96,16 @@ TEST(Realloc, ProfilerEmitsFreshAllocPerInstance) {
 
   int allocs = 0;
   int frees = 0;
+  std::map<std::uint64_t, Ns> alloc_time;  // object id -> alloc time
+  double lifetime_ns = 0.0;                // summed [alloc, free) windows
   for (const auto& e : t.events) {
-    allocs += std::holds_alternative<trace::AllocEvent>(e) ? 1 : 0;
-    frees += std::holds_alternative<trace::FreeEvent>(e) ? 1 : 0;
+    if (const auto* a = std::get_if<trace::AllocEvent>(&e)) {
+      ++allocs;
+      alloc_time[a->object_id] = a->time;
+    } else if (const auto* f = std::get_if<trace::FreeEvent>(&e)) {
+      ++frees;
+      lifetime_ns += static_cast<double>(f->time - alloc_time.at(f->object_id));
+    }
   }
   EXPECT_EQ(allocs, 3);
   EXPECT_EQ(frees, 3);
@@ -105,7 +116,8 @@ TEST(Realloc, ProfilerEmitsFreshAllocPerInstance) {
   ASSERT_EQ(analysis->sites.size(), 1u);
   EXPECT_EQ(analysis->sites[0].alloc_count, 3u);
   EXPECT_EQ(analysis->sites[0].max_size, Bytes{16u << 20});
-  EXPECT_EQ(analysis->sites[0].windows.size(), 3u);
+  // Each instance's [alloc, free) window folds into the site lifetime.
+  EXPECT_EQ(analysis->sites[0].total_lifetime_ns, lifetime_ns);
 }
 
 }  // namespace

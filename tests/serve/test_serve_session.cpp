@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../analyzer/analysis_digest.hpp"
@@ -157,30 +158,44 @@ TEST(ServeIncremental, MalformedTraceFailsIdenticallyAcrossSlices) {
 
 TEST(ServeIncremental, FinalizeIsRepeatable) {
   // finalize() is const: a mid-stream snapshot then more ingest then a
-  // second snapshot must equal a fresh aggregator over each prefix.
-  const trace::Trace t = profile_app("hpcg");
-  const std::size_t half = t.events.size() / 2;
+  // second snapshot must equal a fresh aggregator over each prefix, and
+  // back-to-back snapshots with no ingest between them are equal. The
+  // synthetic trace keeps thousands of objects live across the cut and
+  // reuses addresses while objects are live.
+  for (const auto& [label, t] :
+       {std::pair<const char*, trace::Trace>{"hpcg", profile_app("hpcg")},
+        std::pair<const char*, trace::Trace>{
+            "synthetic", analyzer::testing::synthetic_trace(100'000, 1, true)}}) {
+    SCOPED_TRACE(label);
+    const std::size_t half = t.events.size() / 2;
 
-  analyzer::IncrementalAggregator inc(t.stacks, t.functions);
-  ASSERT_TRUE(inc.ingest(t.events.data(), half).ok());
-  const auto mid = inc.finalize();
-  ASSERT_TRUE(mid.has_value()) << mid.error();
+    analyzer::IncrementalAggregator inc(t.stacks, t.functions);
+    ASSERT_TRUE(inc.ingest(t.events.data(), half).ok());
+    const auto mid = inc.finalize();
+    ASSERT_TRUE(mid.has_value()) << mid.error();
+    const auto mid_again = inc.finalize();
+    ASSERT_TRUE(mid_again.has_value()) << mid_again.error();
+    expect_identical(*mid, *mid_again);
 
-  trace::Trace prefix;
-  prefix.stacks = t.stacks;
-  prefix.functions = t.functions;
-  prefix.sample_rate_hz = t.sample_rate_hz;
-  prefix.events.assign(t.events.begin(), t.events.begin() + static_cast<std::ptrdiff_t>(half));
-  const auto offline_mid = analyzer::analyze(prefix);
-  ASSERT_TRUE(offline_mid.has_value()) << offline_mid.error();
-  expect_identical(*offline_mid, *mid);
+    trace::Trace prefix;
+    prefix.stacks = t.stacks;
+    prefix.functions = t.functions;
+    prefix.sample_rate_hz = t.sample_rate_hz;
+    prefix.events.assign(t.events.begin(), t.events.begin() + static_cast<std::ptrdiff_t>(half));
+    const auto offline_mid = analyzer::analyze(prefix);
+    ASSERT_TRUE(offline_mid.has_value()) << offline_mid.error();
+    expect_identical(*offline_mid, *mid);
 
-  ASSERT_TRUE(inc.ingest(t.events.data() + half, t.events.size() - half).ok());
-  const auto full = inc.finalize();
-  ASSERT_TRUE(full.has_value()) << full.error();
-  const auto offline_full = analyzer::analyze(t);
-  ASSERT_TRUE(offline_full.has_value()) << offline_full.error();
-  expect_identical(*offline_full, *full);
+    ASSERT_TRUE(inc.ingest(t.events.data() + half, t.events.size() - half).ok());
+    const auto full = inc.finalize();
+    ASSERT_TRUE(full.has_value()) << full.error();
+    const auto full_again = inc.finalize();
+    ASSERT_TRUE(full_again.has_value()) << full_again.error();
+    expect_identical(*full, *full_again);
+    const auto offline_full = analyzer::analyze(t);
+    ASSERT_TRUE(offline_full.has_value()) << offline_full.error();
+    expect_identical(*offline_full, *full);
+  }
 }
 
 TEST(ServeIncremental, SemanticErrorIsSticky) {

@@ -185,12 +185,9 @@ TEST(TraceV3, ReadAllIsBitIdenticalForEveryThreadCount) {
 
   const auto reader = TraceReader::open(path);
   ASSERT_TRUE(reader.has_value()) << reader.error();
-  const std::string expected = v1_bytes(original, modules);
-  for (const int threads : {1, 2, 4, 7}) {
-    const auto bundle = reader->read_all(threads);
-    ASSERT_TRUE(bundle.has_value()) << "threads=" << threads << ": " << bundle.error();
-    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected) << "threads=" << threads;
-  }
+  const auto bundle = reader->read_all();
+  ASSERT_TRUE(bundle.has_value()) << bundle.error();
+  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(original, modules));
 }
 
 TEST(TraceV3, BlockWriterIsByteIdenticalToBulkWriter) {
@@ -401,12 +398,9 @@ TEST(TraceV3Compressed, ReaderDecodesBlocksAndAllThreadCounts) {
   ASSERT_EQ(block0.size(), 512u);
   EXPECT_EQ(event_time(block0.front()), event_time(original.events.front()));
 
-  const std::string expected = v1_bytes(original, modules);
-  for (const int threads : {1, 2, 4, 7}) {
-    const auto bundle = reader->read_all(threads);
-    ASSERT_TRUE(bundle.has_value()) << "threads=" << threads << ": " << bundle.error();
-    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected) << "threads=" << threads;
-  }
+  const auto bundle = reader->read_all();
+  ASSERT_TRUE(bundle.has_value()) << bundle.error();
+  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(original, modules));
 }
 
 TEST(TraceV3Compressed, BlockWriterIsByteIdenticalToBulkWriter) {

@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
         "                       [--peak-pmem-bw GBS] [--dump-sites] [--csv <file>]\n"
         "                       [--threads N] [--salvage] [--min-coverage F]\n"
         "                       [--policy greedy|learned] [--model <model.ehm>]\n"
-        "  --threads N decodes v3 trace blocks on N workers (the analysis\n"
-        "  itself is serial); the output is identical to --threads 1.\n"
+        "  --threads N is accepted for compatibility (1..256) and ignored;\n"
+        "  the trace decode and the analysis are serial.\n"
         "  --salvage recovers what it can from a corrupt/truncated trace and\n"
         "  fails only when coverage drops below --min-coverage (default 0.9).\n"
         "  --policy learned ranks sites with a trained model (ecohmem-train)\n"
@@ -71,22 +71,23 @@ int main(int argc, char** argv) {
     model = std::move(*loaded);
   }
 
-  const auto threads = args.get_int_in_range("threads", 1, 1, 256);
-  if (!threads) return cli::fail(threads.error());
+  // Accepted and range-checked, then ignored (see the usage text).
+  if (const auto threads = args.get_int_in_range("threads", 1, 1, 256); !threads) {
+    return cli::fail(threads.error());
+  }
   const double min_coverage = args.get_double("min-coverage", 0.9);
   if (min_coverage < 0.0 || min_coverage > 1.0) {
     return cli::fail("--min-coverage must be in [0, 1]");
   }
 
-  // The trace is mmapped and decoded block-wise (in parallel for v3
-  // traces when --threads > 1); v1/v2 traces take the same path through
-  // a single virtual block. With --salvage a damaged trace is read
+  // The trace is mmapped and decoded block-wise; v1/v2 traces take the
+  // same path through a single virtual block. With --salvage a damaged trace is read
   // fail-soft and the analysis is stamped with its coverage.
   trace::TraceOpenOptions topt;
   topt.salvage = args.has("salvage");
   auto reader = trace::TraceReader::open(args.get("trace"), topt);
   if (!reader) return cli::fail_load(args.get("trace"), reader.error());
-  const auto bundle = reader->read_all(static_cast<int>(*threads));
+  const auto bundle = reader->read_all();
   if (!bundle) return cli::fail_load(args.get("trace"), bundle.error());
 
   if (reader->manifest().salvaged) {

@@ -100,7 +100,7 @@ int run_client(const cli::Args& args) {
   if (args.has("ingest")) {
     auto reader = trace::TraceReader::open(args.get("ingest"));
     if (!reader) return cli::fail_load(args.get("ingest"), reader.error());
-    const auto bundle = reader->read_all(1);
+    const auto bundle = reader->read_all();
     if (!bundle) return cli::fail_load(args.get("ingest"), bundle.error());
     if (!args.has("attach")) {
       const auto s = client->hello_create(bundle->trace.stacks, bundle->trace.functions,
